@@ -5,7 +5,8 @@ PY := PYTHONPATH=src python
 TRACE_DIR := /tmp/repro-trace-smoke
 
 .PHONY: test unit trace-smoke serve-smoke obs-smoke bench-smoke bench \
-        conform-smoke conform codebooks-smoke backends-smoke test-backends
+        conform-smoke conform codebooks-smoke backends-smoke test-backends \
+        sanitize-smoke
 
 # tier-1 verification (ROADMAP.md): unit suite + telemetry smoke +
 # serving smoke + observability smoke + codebook-registry smoke +
@@ -82,6 +83,17 @@ conform-smoke:
 # full corpus set; writes ./CONFORMANCE.json
 conform:
 	$(PY) -m repro.conform.cli --full --out CONFORMANCE.json
+
+# sanitizer smoke: rebuild the native gap kernel from the same C
+# source with -fsanitize=address,undefined (REPRO_GAP_SANITIZE=1, own
+# digest directory), preload gcc's libasan, and drive >= 10k truncated
+# and bit-flipped deep-book containers through the native route; a
+# sanitizer report aborts the run, and only ValueError may escape.  The
+# module's negative control requires a report from an unpadded buffer
+sanitize-smoke:
+	REPRO_GAP_SANITIZE=1 ASAN_OPTIONS=detect_leaks=0 \
+	LD_PRELOAD=$$(gcc -print-file-name=libasan.so) \
+	$(PY) -m pytest -q -s -p no:cacheprovider tests/test_sanitize_native.py
 
 # wall-clock smoke: regenerates benchmarks/results/BENCH_wallclock.json,
 # asserts the >=20x batch-vs-scalar decode bar on the enwik surrogate,

@@ -37,6 +37,8 @@ from __future__ import annotations
 import os
 import threading
 
+import numpy as np
+
 from repro.obs import metrics as _metrics
 
 __all__ = [
@@ -56,6 +58,12 @@ DEFAULT_BACKEND = "numpy"
 
 #: env var naming the process-wide default backend
 BACKEND_ENV = "REPRO_BACKEND"
+
+
+#: ``(sub, node_base, node_bits)`` of a root-only (flat) table
+_NO_SUBTABLES = (
+    np.empty(0, np.int32), np.empty(0, np.int64), np.empty(0, np.int32)
+)
 
 
 class KernelBackend:
@@ -82,7 +90,9 @@ class KernelBackend:
       table (2^k1 packed root + flat subtable array; see
       ``huffman/decoder.py``): long codewords resolve by descending
       node pointers instead of a First/Entry scan, so a complete tiered
-      table never needs a fallback path.
+      table never needs a fallback path.  As in the C kernel, a flat
+      table is the zero-subtable case: the two flat gap passes are
+      defined here as the tiered ones over a root-only table.
     """
 
     #: registry name; also the value of span/label attributes
@@ -105,10 +115,14 @@ class KernelBackend:
         raise NotImplementedError  # pragma: no cover - abstract
 
     def gap_sync_pass(self, pbuf, ch_start, ch_end, lane_base, S, tab, k):
-        raise NotImplementedError  # pragma: no cover - abstract
+        return self.gap_sync_tiered_pass(
+            pbuf, ch_start, ch_end, lane_base, S, tab, *_NO_SUBTABLES, k
+        )
 
     def gap_decode_pass(self, pbuf, bit_off, out_off, out_end, tab, k, n_out):
-        raise NotImplementedError  # pragma: no cover - abstract
+        return self.gap_decode_tiered_pass(
+            pbuf, bit_off, out_off, out_end, tab, *_NO_SUBTABLES, k, n_out
+        )
 
     def decode_lanes_tiered_pass(
         self, pbuf, starts, ends, nsyms, out_off,

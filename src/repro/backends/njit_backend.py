@@ -1,7 +1,9 @@
 """The ``njit`` backend: numba ``@njit(cache=True)`` CPU kernels.
 
-The kernel bodies below (five flat-table ones plus the three tiered
-decode walks) are plain-Python *nopython-compatible* functions.  When numba imports cleanly they are wrapped with
+The kernel bodies below (histogram, scan-pack and the flat lane walk,
+plus the three tiered decode walks — the flat gap passes are the tiered
+ones over a root-only table) are plain-Python *nopython-compatible*
+functions.  When numba imports cleanly they are wrapped with
 ``numba.njit(cache=True)`` on first use; when it does not, the backend
 reports unavailable and the registry degrades to the NumPy reference —
 **unless** ``REPRO_NJIT_SIM=1``, in which case the *uncompiled* bodies
@@ -143,83 +145,13 @@ def _k_decode_lanes(pbuf, starts, ends, nsyms, out_off, tab, k):
     return out, exhausted
 
 
-def _k_gap_sync(pbuf, ch_start, ch_end, lane_base, S, tab, k):
-    mask = np.int64((1 << k) - 1)
-    lim = pbuf.size - 4
-    n_ch = ch_start.size
-    n_lanes = lane_base[lane_base.size - 1]
-    gap_off = np.empty(n_lanes, np.int64)
-    gap_cnt = np.empty(n_lanes, np.int64)
-    ch_n = np.empty(n_ch, np.int64)
-    ch_endpos = np.empty(n_ch, np.int64)
-    for c in range(n_ch):
-        bp = ch_start[c]
-        end = ch_end[c]
-        cur = lane_base[c]
-        last = lane_base[c + 1]
-        nb = bp + S
-        n = np.int64(0)
-        gap_off[cur] = bp
-        gap_cnt[cur] = 0
-        cur += 1
-        while bp < end:
-            while cur < last and bp >= nb:
-                gap_off[cur] = bp
-                gap_cnt[cur] = n
-                cur += 1
-                nb += S
-            bidx = bp >> 3
-            if bidx > lim:
-                bidx = lim
-            w32 = (np.int64(pbuf[bidx]) << 24) \
-                | (np.int64(pbuf[bidx + 1]) << 16) \
-                | (np.int64(pbuf[bidx + 2]) << 8) \
-                | np.int64(pbuf[bidx + 3])
-            win = (w32 >> (32 - k - (bp & 7))) & mask
-            bp += np.int64(tab[win]) & _I8
-            n += 1
-        while cur < last:
-            gap_off[cur] = bp
-            gap_cnt[cur] = n
-            cur += 1
-        ch_n[c] = n
-        ch_endpos[c] = bp
-    return gap_off, gap_cnt, ch_n, ch_endpos
-
-
-def _k_gap_decode(pbuf, bit_off, out_off, out_end, tab, k, n_out):
-    mask = np.int64((1 << k) - 1)
-    lim = pbuf.size - 4
-    out = np.empty(n_out, np.int64)
-    for j in range(bit_off.size):
-        bp = bit_off[j]
-        oi = out_off[j]
-        oe = out_end[j]
-        while oi < oe:
-            bidx = bp >> 3
-            if bidx > lim:
-                bidx = lim
-            w32 = (np.int64(pbuf[bidx]) << 24) \
-                | (np.int64(pbuf[bidx + 1]) << 16) \
-                | (np.int64(pbuf[bidx + 2]) << 8) \
-                | np.int64(pbuf[bidx + 3])
-            win = (w32 >> (32 - k - (bp & 7))) & mask
-            ent = np.int64(tab[win])
-            out[oi] = ent >> 8
-            oi += 1
-            bp += ent & _I8
-        # bp past this lane's range is legal mid-stream; the caller's
-        # sync pass has already validated chunk exhaustion
-    return out
-
-
 def _k_decode_lanes_tiered(pbuf, starts, ends, nsyms, out_off,
                            l1, sub, node_base, node_bits, k1):
     # tiered resolve: the k1-bit root gather either carries a packed
     # (sym << 8) | abs_len entry (low byte nonzero) or a node pointer;
     # pointers descend through the flat subtable array, node_bits[n]
     # fresh stream bits per level.  Window parity rules are identical
-    # to the flat walk: k1 <= 12 and node_bits <= 8 both satisfy
+    # to the flat walk: k1 <= 25 and node_bits <= 12 both satisfy
     # k + 7 <= 32 for the four-byte assembly.
     mask1 = np.int64((1 << k1) - 1)
     lim = pbuf.size - 4
@@ -370,8 +302,6 @@ _PURE = {
     "histogram": _k_histogram,
     "scan_pack_cells": _k_scan_pack_cells,
     "decode_lanes": _k_decode_lanes,
-    "gap_sync": _k_gap_sync,
-    "gap_decode": _k_gap_decode,
     "decode_lanes_tiered": _k_decode_lanes_tiered,
     "gap_sync_tiered": _k_gap_sync_tiered,
     "gap_decode_tiered": _k_gap_decode_tiered,
@@ -475,28 +405,6 @@ class NjitBackend(KernelBackend):
             int(k),
         )
         return out, bool(exhausted)
-
-    def gap_sync_pass(self, pbuf, ch_start, ch_end, lane_base, S, tab, k):
-        return self._fns()["gap_sync"](
-            pbuf,
-            np.ascontiguousarray(ch_start, np.int64),
-            np.ascontiguousarray(ch_end, np.int64),
-            np.ascontiguousarray(lane_base, np.int64),
-            int(S),
-            tab,
-            int(k),
-        )
-
-    def gap_decode_pass(self, pbuf, bit_off, out_off, out_end, tab, k, n_out):
-        return self._fns()["gap_decode"](
-            pbuf,
-            np.ascontiguousarray(bit_off, np.int64),
-            np.ascontiguousarray(out_off, np.int64),
-            np.ascontiguousarray(out_end, np.int64),
-            tab,
-            int(k),
-            int(n_out),
-        )
 
     @staticmethod
     def _tiered_arrays(l1, sub, node_base, node_bits):

@@ -142,60 +142,6 @@ class NumpyBackend(KernelBackend):
                 exhausted = True
         return out, exhausted
 
-    def gap_sync_pass(self, pbuf, ch_start, ch_end, lane_base, S, tab, k):
-        """Serial port of ``gap_native.gap_sync_pass`` (the 8-way
-        interleave is a latency trick, not a semantic one)."""
-        k = int(k)
-        S = int(S)
-        mask = (1 << k) - 1
-        n_ch = ch_start.shape[0]
-        n_lanes = int(lane_base[-1])
-        gap_off = np.empty(n_lanes, np.int64)
-        gap_cnt = np.empty(n_lanes, np.int64)
-        ch_n = np.empty(n_ch, np.int64)
-        ch_endpos = np.empty(n_ch, np.int64)
-        for c in range(n_ch):
-            bp = int(ch_start[c])
-            end = int(ch_end[c])
-            cur = int(lane_base[c])
-            last = int(lane_base[c + 1])
-            nb = bp + S
-            n = 0
-            gap_off[cur] = bp
-            gap_cnt[cur] = 0
-            cur += 1
-            while bp < end:
-                while cur < last and bp >= nb:
-                    gap_off[cur] = bp
-                    gap_cnt[cur] = n
-                    cur += 1
-                    nb += S
-                bp += int(tab[_window(pbuf, bp, k) & mask]) & 0xFF
-                n += 1
-            while cur < last:
-                gap_off[cur] = bp
-                gap_cnt[cur] = n
-                cur += 1
-            ch_n[c] = n
-            ch_endpos[c] = bp
-        return gap_off, gap_cnt, ch_n, ch_endpos
-
-    def gap_decode_pass(self, pbuf, bit_off, out_off, out_end, tab, k, n_out):
-        """Serial port of ``gap_native.gap_decode_pass``."""
-        k = int(k)
-        mask = (1 << k) - 1
-        out = np.empty(int(n_out), np.int64)
-        for j in range(bit_off.shape[0]):
-            bp = int(bit_off[j])
-            oi = int(out_off[j])
-            oe = int(out_end[j])
-            while oi < oe:
-                ent = int(tab[_window(pbuf, bp, k) & mask])
-                out[oi] = ent >> 8
-                oi += 1
-                bp += ent & 0xFF
-        return out
-
     def decode_lanes_tiered_pass(self, pbuf, starts, ends, nsyms, out_off,
                                  l1, sub, node_base, node_bits, k1):
         """Serial tiered LUT walk over every lane; same exhaustion

@@ -218,12 +218,12 @@ def _check_gap(name, golden_dir, gap_payload, stream, book) -> list[str]:
 
     buffer, starts, ends, nsyms = stream_lanes(stream)
     table = cached_decode_table(book)
-    if isinstance(table, TieredDecodeTable):
-        # the native C kernel is flat-only; tiered books check the numpy
-        # serial reference and (when resolvable) the njit tiered kernels
-        backends = ["numpy"] + (["njit"] if njit_ready() else [])
-    else:
-        backends = ["numpy"] + (["native"] if native_available() else [])
+    # the native C kernel takes flat and tiered tables alike; tiered
+    # books additionally check the njit tiered kernels when resolvable
+    backends = ["numpy"] + (["native"] if native_available() else []) + (
+        ["njit"] if isinstance(table, TieredDecodeTable) and njit_ready()
+        else []
+    )
     for backend in backends:
         res = gap_decode_lanes(
             buffer, starts, ends, nsyms, book, table,

@@ -255,12 +255,9 @@ def decode_stream(
     from repro.decoder import gap_array
 
     if strategy == "auto":
-        # tier-aware: a book headed for a tiered table only promotes to
-        # gap when the njit tiered kernels are resolvable (the native C
-        # kernel is flat-only)
         strategy = (
             "gap"
-            if gap_array.gap_auto_ready(backend, book=book, table=table)
+            if gap_array.gap_auto_ready(backend)
             and stream.n_symbols >= gap_array.AUTO_MIN_SYMBOLS
             else "batch"
         )

@@ -32,7 +32,9 @@ compiled path is optional):
   back to :func:`repro.huffman.decoder.decode_lanes`.
 - ``"native"`` — :mod:`repro.decoder.gap_native`, a runtime-compiled C
   kernel with *exact* pass-1 discovery (an interleaved length walk).
-  Preferred by ``backend="auto"`` when the toolchain is present.
+  It takes one root+subtable table format, so flat and tiered (deep)
+  books share it.  Preferred by ``backend="auto"`` when the toolchain is
+  present.
 
 Both backends produce symbols byte-identical to ``decode_lanes`` and
 the same :class:`GapArray` (pinned by golden vectors and property
@@ -213,14 +215,8 @@ def gap_supported(
     return True, ""
 
 
-class _GapTableCache(_LruCache):
-    """LRU of per-backend gap tables keyed by (digest, kind, k)."""
-
-    def __init__(self, maxsize: int = 16) -> None:
-        super().__init__(maxsize, name="gap_table")
-
-
-_GAP_TABLES = _GapTableCache()
+#: LRU of per-backend gap tables keyed by (digest, kind, k, ...)
+_GAP_TABLES = _LruCache(16, name="gap_table")
 
 
 def _native_table(book: CanonicalCodebook, table: DecodeTable) -> np.ndarray:
@@ -234,6 +230,23 @@ def _native_table(book: CanonicalCodebook, table: DecodeTable) -> np.ndarray:
 
     key = (codebook_digest(book), "native", int(table.k))
     return _GAP_TABLES.get_or_build(key, build)
+
+
+def _kernel_table(
+    book: CanonicalCodebook, table: DecodeTable | TieredDecodeTable
+) -> gap_native.KernelTable:
+    """The C kernel's root+subtable view of either table kind, checked
+    once per book and cached: a flat table is the root-only case."""
+    if isinstance(table, TieredDecodeTable):
+        key = (codebook_digest(book), "kernel", int(table.k1),
+               table.n_nodes, int(table.sub.size))
+        return _GAP_TABLES.get_or_build(key, lambda: gap_native.kernel_table(
+            table.l1, table.k1, table.sub, table.node_base, table.node_bits
+        ))
+    key = (codebook_digest(book), "kernel", int(table.k))
+    return _GAP_TABLES.get_or_build(key, lambda: gap_native.kernel_table(
+        _native_table(book, table), table.k
+    ))
 
 
 def _triple_table(
@@ -276,9 +289,10 @@ def _triple_table(
     return _GAP_TABLES.get_or_build(key, build)
 
 
-def _pad_buffer(buffer: np.ndarray) -> np.ndarray:
-    """Copy with 8 spare bytes so 64-bit window loads never run off."""
-    out = np.zeros(buffer.size + 8, np.uint8)
+def _pad_buffer(buffer: np.ndarray, pad: int = 8) -> np.ndarray:
+    """Copy with ``pad`` spare bytes so window loads never run off (the
+    C passes need :attr:`gap_native.KernelTable.pad_bytes`)."""
+    out = np.zeros(buffer.size + pad, np.uint8)
     out[: buffer.size] = buffer
     return out
 
@@ -324,14 +338,19 @@ def reference_gap_array(
     ends: np.ndarray,
     book: CanonicalCodebook,
     subchunk_bits: int,
-    table: DecodeTable | None = None,
+    table: DecodeTable | TieredDecodeTable | None = None,
 ) -> GapArray:
-    """Exact, backend-independent gap array by per-chunk serial walk.
+    """Exact gap array by per-chunk serial walk: the NumPy reference
+    backend's sync pass over the root+subtable table.
 
-    The executable definition both backends are pinned against (golden
-    vectors, property tests).  Pure-Python per symbol — test-sized
-    inputs only.
+    The executable definition every gap backend is pinned against
+    (golden vectors, property tests).  Pure-Python per symbol —
+    test-sized inputs only.
     """
+    # function-local import: backends/__init__ registers backends at
+    # import time, so a module-level import here would be cyclic
+    from repro.backends.numpy_backend import NumpyBackend
+
     if table is None:
         table = (
             build_tiered_decode_table(book)
@@ -344,102 +363,68 @@ def reference_gap_array(
     S = int(subchunk_bits)
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
-    n_sub, lane_base = _lane_layout(starts, ends, S)
-    pbuf = _pad_buffer(np.asarray(buffer, dtype=np.uint8))
-    offs = np.empty(int(lane_base[-1]), np.int64)
-    cnts = np.empty(int(lane_base[-1]), np.int64)
-    if isinstance(table, TieredDecodeTable):
-        # function-local import: backends/__init__ registers backends at
-        # import time, so a module-level import here would be cyclic
-        from repro.backends.numpy_backend import _tiered_step
-
-        l1, sub = table.l1, table.sub
-        nbase, nbits = table.node_base, table.node_bits
-        k1 = int(table.k1)
-        mask1 = (1 << k1) - 1
-        for c in range(starts.size):
-            p = int(starts[c])
-            end = int(ends[c])
-            cur, last = int(lane_base[c]), int(lane_base[c + 1])
-            nb = p + S
-            n = 0
-            offs[cur] = p
-            cnts[cur] = 0
-            cur += 1
-            while p < end:
-                while cur < last and p >= nb:
-                    offs[cur] = p
-                    cnts[cur] = n
-                    cur += 1
-                    nb += S
-                ent, _st = _tiered_step(
-                    pbuf, p, l1, sub, nbase, nbits, k1, mask1
-                )
-                p += ent & 0xFF
-                n += 1
-            while cur < last:
-                offs[cur] = p
-                cnts[cur] = n
-                cur += 1
-        return GapArray(S, lane_base, offs, cnts)
-    W = _window_words(pbuf, np.int32)
-    lt = table.length
-    k = table.k
-    for c in range(starts.size):
-        p = int(starts[c])
-        end = int(ends[c])
-        cur, last = int(lane_base[c]), int(lane_base[c + 1])
-        nb = p + S
-        n = 0
-        offs[cur] = p
-        cnts[cur] = 0
-        cur += 1
-        while p < end:
-            while cur < last and p >= nb:
-                offs[cur] = p
-                cnts[cur] = n
-                cur += 1
-                nb += S
-            w = (int(W[p >> 3]) >> (16 - (p & 7))) & 0xFFFF
-            p += int(lt[w >> (16 - k)])
-            n += 1
-        while cur < last:  # boundaries at/past the chunk's last codeword
-            offs[cur] = p
-            cnts[cur] = n
-            cur += 1
+    _n_sub, lane_base = _lane_layout(starts, ends, S)
+    kt = _kernel_table(book, table)
+    offs, cnts, _n, _end = NumpyBackend().gap_sync_tiered_pass(
+        _pad_buffer(np.asarray(buffer, dtype=np.uint8), kt.pad_bytes),
+        starts, ends, lane_base, S,
+        kt.l1, kt.sub, kt.node_base, kt.node_bits, kt.k1,
+    )
     return GapArray(S, lane_base, offs, cnts)
 
 
 # ----------------------------------------------- native / njit kernel passes
 
 
+class _RegistryPasses:
+    """A registry backend's tiered pass pair behind the native kernel's
+    call shape (the flat table is the zero-subtable case there too)."""
+
+    def __init__(self, bk) -> None:
+        self._bk = bk
+
+    def sync_pass(self, pbuf, starts, ends, lane_base, S, t):
+        return (*self._bk.gap_sync_tiered_pass(
+            pbuf, starts, ends, lane_base, S,
+            t.l1, t.sub, t.node_base, t.node_bits, t.k1,
+        ), 0)
+
+    def decode_pass(self, pbuf, bit_off, out_off, out_end, t, n_out):
+        return self._bk.gap_decode_tiered_pass(
+            pbuf, bit_off, out_off, out_end,
+            t.l1, t.sub, t.node_base, t.node_bits, t.k1, n_out,
+        )
+
+
 def _kernel_gap_decode(
-    sync_pass,
-    decode_pass,
+    passes,
     label: str,
     buffer: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
     nsyms: np.ndarray,
     book: CanonicalCodebook,
-    table: DecodeTable,
+    table: DecodeTable | TieredDecodeTable,
     S: int,
-) -> GapDecodeResult:
-    """Two exact kernel passes over the same contract — shared by the
-    compiled C backend and the njit registry backend, which expose
-    signature-identical pass functions."""
-    tab = _native_table(book, table)
+) -> tuple[GapDecodeResult, int]:
+    """Two exact kernel passes over one root+subtable table — the
+    compiled C kernel, or a registry backend through
+    :class:`_RegistryPasses`.  Returns the result and the number of
+    subtable gathers pass 1 took."""
+    kt = _kernel_table(book, table)
+    tier = "tiered" if isinstance(table, TieredDecodeTable) else "flat"
     n_sub, lane_base = _lane_layout(starts, ends, S)
-    pbuf = _pad_buffer(buffer)
+    pbuf = _pad_buffer(buffer, kt.pad_bytes)
     with _span(
         "decode.gap.sync",
         backend=label,
+        table_tier=tier,
         subchunk_bits=S,
         lanes=int(lane_base[-1]),
         chunks=int(starts.size),
     ):
-        gap_off, gap_cnt, ch_n, ch_endpos = sync_pass(
-            pbuf, starts, ends, lane_base, S, tab, table.k
+        gap_off, gap_cnt, ch_n, ch_endpos, gathers = passes.sync_pass(
+            pbuf, starts, ends, lane_base, S, kt
         )
         # replicate decode_lanes' exhaustion semantics: a chunk whose
         # chain yields fewer codewords than the container claims, or
@@ -448,91 +433,16 @@ def _kernel_gap_decode(
         exhausted = (ch_n < nsyms) | ((ch_n == nsyms) & (ch_endpos > ends))
         if bool(exhausted.any()):
             raise ValueError("bitstream exhausted before all symbols decoded")
-    with _span("decode.gap.decode", backend=label, lanes=int(lane_base[-1])):
+    with _span("decode.gap.decode", backend=label, table_tier=tier,
+               lanes=int(lane_base[-1])):
         out_off, out_end, sym_base = _output_ranges(
             gap_cnt, n_sub, lane_base, nsyms
         )
-        symbols = decode_pass(
-            pbuf, gap_off, out_off, out_end, tab, table.k, int(sym_base[-1])
+        symbols = passes.decode_pass(
+            pbuf, gap_off, out_off, out_end, kt, int(sym_base[-1])
         )
     gap = GapArray(S, lane_base, gap_off, gap_cnt)
-    return GapDecodeResult(symbols, gap, label)
-
-
-def _kernel_gap_decode_tiered(
-    sync_pass,
-    decode_pass,
-    label: str,
-    buffer: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    nsyms: np.ndarray,
-    book: CanonicalCodebook,
-    table: TieredDecodeTable,
-    S: int,
-) -> GapDecodeResult:
-    """Tiered twin of :func:`_kernel_gap_decode`: the same two-pass
-    contract with the flat packed table swapped for the tiered root +
-    subtable arrays.  Serves the njit registry backend and (test-sized)
-    the NumPy reference backend's serial walks."""
-    targs = (table.l1, table.sub, table.node_base, table.node_bits,
-             int(table.k1))
-    n_sub, lane_base = _lane_layout(starts, ends, S)
-    pbuf = _pad_buffer(buffer)
-    with _span(
-        "decode.gap.sync",
-        backend=label,
-        subchunk_bits=S,
-        lanes=int(lane_base[-1]),
-        chunks=int(starts.size),
-    ):
-        gap_off, gap_cnt, ch_n, ch_endpos = sync_pass(
-            pbuf, starts, ends, lane_base, S, *targs
-        )
-        exhausted = (ch_n < nsyms) | ((ch_n == nsyms) & (ch_endpos > ends))
-        if bool(exhausted.any()):
-            raise ValueError("bitstream exhausted before all symbols decoded")
-    with _span("decode.gap.decode", backend=label, lanes=int(lane_base[-1])):
-        out_off, out_end, sym_base = _output_ranges(
-            gap_cnt, n_sub, lane_base, nsyms
-        )
-        symbols = decode_pass(
-            pbuf, gap_off, out_off, out_end, *targs, int(sym_base[-1])
-        )
-    gap = GapArray(S, lane_base, gap_off, gap_cnt)
-    return GapDecodeResult(symbols, gap, label)
-
-
-def _native_gap_decode(
-    kernel: gap_native.GapKernel,
-    buffer: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    nsyms: np.ndarray,
-    book: CanonicalCodebook,
-    table: DecodeTable,
-    S: int,
-) -> GapDecodeResult:
-    return _kernel_gap_decode(
-        kernel.sync_pass, kernel.decode_pass, "native",
-        buffer, starts, ends, nsyms, book, table, S,
-    )
-
-
-def _njit_gap_decode(
-    bk,
-    buffer: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    nsyms: np.ndarray,
-    book: CanonicalCodebook,
-    table: DecodeTable,
-    S: int,
-) -> GapDecodeResult:
-    return _kernel_gap_decode(
-        bk.gap_sync_pass, bk.gap_decode_pass, "njit",
-        buffer, starts, ends, nsyms, book, table, S,
-    )
+    return GapDecodeResult(symbols, gap, label), int(gathers)
 
 
 # ------------------------------------------------------------- numpy backend
@@ -965,28 +875,11 @@ def _resolved_njit(registry_backend: str | None):
     return bk if bk.name == "njit" else None
 
 
-def gap_auto_ready(
-    registry_backend: str | None = None,
-    book: CanonicalCodebook | None = None,
-    table: DecodeTable | TieredDecodeTable | None = None,
-) -> bool:
+def gap_auto_ready(registry_backend: str | None = None) -> bool:
     """Whether ``strategy="auto"`` heuristics should promote the gap
-    path: a compiled gap kernel exists — the native C one, or the njit
-    registry backend when the selection resolves to it.
-
-    With ``book``/``table`` the answer is tier-aware: a decode that will
-    run on a :class:`TieredDecodeTable` (explicitly, or by the automatic
-    deep-book promotion) needs the njit tiered kernels — the native C
-    kernel is flat-only, so its presence alone must not promote such a
-    stream off the batch path.
-    """
-    tiered = isinstance(table, TieredDecodeTable) or (
-        table is None
-        and book is not None
-        and int(book.max_length) > _HOST_TABLE_BITS
-    )
-    if tiered:
-        return _resolved_njit(registry_backend) is not None
+    path: a compiled gap kernel exists — the native C one (flat and
+    tiered tables alike), or the njit registry backend when the
+    selection resolves to it."""
     return gap_native.native_available() or \
         _resolved_njit(registry_backend) is not None
 
@@ -997,7 +890,7 @@ def gap_decode_lanes(
     ends: np.ndarray,
     nsyms: np.ndarray,
     book: CanonicalCodebook,
-    table: DecodeTable | None = None,
+    table: DecodeTable | TieredDecodeTable | None = None,
     *,
     subchunk_bits: int | None = None,
     backend: str = "auto",
@@ -1013,12 +906,12 @@ def gap_decode_lanes(
     express (see :func:`gap_supported`) decode through ``decode_lanes``
     and report ``backend="lanes"``.
 
-    Tiered tables (automatic for ``max_length`` over the host budget)
-    route differently: the native C kernel is flat-only and raises when
-    forced; ``"njit"`` runs the tiered kernel pair; ``"numpy"`` runs the
-    reference backend's serial tiered walks (exact, test-sized — the
-    vectorized speculative path stays flat-only); ``"auto"`` takes njit
-    when resolved, else falls back to ``decode_lanes`` (whose tiered
+    Flat and tiered tables (automatic for ``max_length`` over the host
+    budget) share the compiled route: the C kernel and the njit passes
+    take one root+subtable format.  ``"numpy"`` runs the vectorized
+    speculative path on flat tables and the registry's exact serial
+    walks on tiered ones (test-sized); ``"auto"`` with no compiled
+    kernel falls back to ``decode_lanes`` for tiered tables (whose
     batch path is vectorized) with a counted
     ``reason="tiered_no_kernel"``.
     """
@@ -1037,61 +930,9 @@ def gap_decode_lanes(
     reg = _metrics()
     tiered = isinstance(table, TieredDecodeTable)
     ok, why = gap_supported(book, table)
-
-    if tiered:
-        if backend == "native":
-            raise RuntimeError(
-                "native gap backend does not support tiered tables"
-            )
-        njit_bk = None
-        if backend == "njit":
-            njit_bk = _resolved_njit("njit")
-            if njit_bk is None:
-                raise RuntimeError("njit gap backend unavailable")
-        elif backend == "auto":
-            njit_bk = _resolved_njit(registry_backend)
-        if not ok or (backend == "auto" and njit_bk is None):
-            reason = why or "tiered_no_kernel"
-            reg.counter(
-                "repro_decode_gap_lut_fallback_total", reason=reason
-            ).inc()
-            symbols = decode_lanes(buffer, starts, ends, nsyms, book, table)
-            return GapDecodeResult(symbols, None, "lanes")
-        if njit_bk is not None:
-            bk, pass_bk = "njit", njit_bk
-        else:  # backend == "numpy": exact serial reference walks
-            from repro import backends as _backends
-
-            bk, pass_bk = "numpy", _backends.get_backend("numpy", quiet=True)
-        total_bits = int((ends - starts).sum())
-        S = (
-            int(subchunk_bits)
-            if subchunk_bits is not None
-            else default_subchunk_bits(total_bits, bk)
-        )
-        res = _kernel_gap_decode_tiered(
-            pass_bk.gap_sync_tiered_pass, pass_bk.gap_decode_tiered_pass,
-            bk, buffer, starts, ends, nsyms, book, table, S,
-        )
-        gap = res.gap
-        assert gap is not None
-        reg.counter(
-            "repro_decode_table_tier_total", tier="tiered"
-        ).inc()
-        reg.counter("repro_decode_symbols_total", path="gap").inc(
-            int(res.symbols.size)
-        )
-        reg.counter("repro_decode_gap_subchunks_total", backend=bk).inc(
-            gap.n_subchunks
-        )
-        reg.counter("repro_decode_gap_sync_points_total", backend=bk).inc(
-            gap.n_sync_points
-        )
-        return res
-
-    numpy_ok = ok and int(book.n_symbols) <= 1024 and (
+    numpy_ok = ok and (tiered or int(book.n_symbols) <= 1024 and (
         int(ends.max()) if ends.size else 0
-    ) < _INT32_BIT_LIMIT
+    ) < _INT32_BIT_LIMIT)
     kern = gap_native.kernel() if backend in ("auto", "native") else None
     if backend == "native" and kern is None:
         raise RuntimeError(
@@ -1108,38 +949,35 @@ def gap_decode_lanes(
         backend == "auto"
         and kern is None
         and njit_bk is None
-        and not numpy_ok
+        and (tiered or not numpy_ok)
     ) or (backend == "numpy" and not numpy_ok):
-        reason = why or "numpy_limits"
+        reason = why or ("tiered_no_kernel" if tiered else "numpy_limits")
         reg.counter("repro_decode_gap_lut_fallback_total", reason=reason).inc()
         symbols = decode_lanes(buffer, starts, ends, nsyms, book, table)
         return GapDecodeResult(symbols, None, "lanes")
 
-    total_bits = int((ends - starts).sum())
-    if kern is not None and backend != "numpy" and backend != "njit":
-        bk = "native"
-    elif njit_bk is not None:
-        bk = "njit"
-    else:
-        bk = "numpy"
+    bk = "native" if kern is not None else "njit" if njit_bk else "numpy"
     S = (
         int(subchunk_bits)
         if subchunk_bits is not None
-        else default_subchunk_bits(total_bits, bk)
+        else default_subchunk_bits(int((ends - starts).sum()), bk)
     )
-    if bk == "native":
-        res = _native_gap_decode(
-            kern, buffer, starts, ends, nsyms, book, table, S
+    args = (buffer, starts, ends, nsyms, book, table, S)
+    gathers = 0
+    if bk == "numpy" and not tiered:
+        res = _numpy_gap_decode(*args)
+    else:  # native, njit, or numpy's exact serial walks (tiered)
+        from repro import backends as _backends
+
+        passes = kern if bk == "native" else _RegistryPasses(
+            njit_bk or _backends.get_backend("numpy", quiet=True)
         )
-    elif bk == "njit":
-        res = _njit_gap_decode(
-            njit_bk, buffer, starts, ends, nsyms, book, table, S
-        )
-    else:
-        res = _numpy_gap_decode(buffer, starts, ends, nsyms, book, table, S)
+        res, gathers = _kernel_gap_decode(passes, bk, *args)
     gap = res.gap
     assert gap is not None
-    reg.counter("repro_decode_table_tier_total", tier="flat").inc()
+    reg.counter(
+        "repro_decode_table_tier_total", tier="tiered" if tiered else "flat"
+    ).inc()
     reg.counter("repro_decode_symbols_total", path="gap").inc(
         int(res.symbols.size)
     )
@@ -1149,6 +987,10 @@ def gap_decode_lanes(
     reg.counter("repro_decode_gap_sync_points_total", backend=bk).inc(
         gap.n_sync_points
     )
+    if gathers:
+        reg.counter("repro_decode_subtable_gather_total", path="gap").inc(
+            gathers
+        )
     if res.chunk_fallbacks:
         reg.counter("repro_decode_gap_chunk_fallback_total").inc(
             res.chunk_fallbacks

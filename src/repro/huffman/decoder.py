@@ -741,7 +741,7 @@ def decode_batch(
         from repro.decoder import gap_array
 
         if impl == "gap" or (
-            gap_array.gap_auto_ready(backend, book=book, table=table)
+            gap_array.gap_auto_ready(backend)
             and n_symbols >= gap_array.AUTO_MIN_SYMBOLS
         ):
             return gap_array.gap_decode_lanes(

@@ -445,8 +445,12 @@ def run_table_bench(
     decode takes **zero** LUT fallbacks.  The returned dict — stored
     under ``"tables"`` in ``BENCH_wallclock.json`` — carries both
     timings, the table memory footprints, and the fallback/subtable
-    counter deltas.
+    counter deltas.  When the native C gap kernel compiled, the same
+    tiered table is also timed on the gap route
+    (``decode_gap_native_mb_s``, ``None`` otherwise), which must decode
+    identically and count its subtable gathers (``subtable_gathers_gap``).
     """
+    from repro.decoder.gap_native import native_available
     from repro.huffman.decoder import (
         build_decode_table,
         build_tiered_decode_table,
@@ -491,6 +495,22 @@ def run_table_bench(
         repeats, scenario=scenario,
     )
     input_bytes = int(data.nbytes)
+    gap_mb_s = sub_gap = None
+    if native_available():
+        g0 = int(reg.total("repro_decode_subtable_gather_total", path="gap"))
+        out_gap = decode_stream(stream, book, table=tiered, strategy="gap")
+        sub_gap = int(
+            reg.total("repro_decode_subtable_gather_total", path="gap")
+        ) - g0
+        if not np.array_equal(out_gap, data) or not sub_gap:
+            raise AssertionError(f"native gap route mismatch on {scenario}")
+        gap_s = _timed_best(
+            tracer, "bench.decode_table_gap_native",
+            lambda: decode_stream(stream, book, table=tiered,
+                                  strategy="gap"),
+            repeats, scenario=scenario,
+        )
+        gap_mb_s = round(input_bytes / gap_s / 1e6, 2)
     return {
         "scenario": scenario,
         "n_symbols": int(data.size),
@@ -512,6 +532,8 @@ def run_table_bench(
         "lut_fallbacks_flat": fb_flat,
         "lut_fallbacks_tiered": fb_tier,
         "subtable_gathers": sub_tier,
+        "decode_gap_native_mb_s": gap_mb_s,
+        "subtable_gathers_gap": sub_gap,
     }
 
 
@@ -882,7 +904,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             s: run_table_bench(s) for s in TABLE_BENCH_SCENARIOS
         }
         print()
-        print("deep-book decode tables (flat fallback vs tiered):")
+        print("deep-book decode tables (flat fallback vs tiered batch, "
+              "plus the native gap route):")
         for s, row in tables_doc.items():
             tb = row["table_bytes"]
             print(f"  {s}: alphabet {row['alphabet']}, "
@@ -891,6 +914,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"({row['lut_fallbacks_flat']} fallbacks) vs "
                   f"tiered {row['decode_tiered_mb_s']} MB/s "
                   f"({row['tiered_speedup']}x); "
+                  f"native gap {row['decode_gap_native_mb_s']} MB/s "
+                  f"({row['subtable_gathers_gap']} gathers); "
                   f"table {tb['tiered']} B vs flat16 {tb['flat16']} B "
                   f"({tb['tiered_pct']}%)")
     conform_doc = None
@@ -949,6 +974,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     s: {
                         "decode_flat_mb_s": row["decode_flat_mb_s"],
                         "decode_tiered_mb_s": row["decode_tiered_mb_s"],
+                        "decode_gap_native_mb_s":
+                            row["decode_gap_native_mb_s"],
                         "tiered_speedup": row["tiered_speedup"],
                         "table_bytes_tiered":
                             row["table_bytes"]["tiered"],

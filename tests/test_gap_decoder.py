@@ -11,9 +11,9 @@ magnitude, skew, reduction factor, and subchunk width):
   ``ValueError`` as ``decode_lanes`` or returns bit-identical symbols —
   corruption must never silently change behavior between decoders;
 - deep books (``max_length`` over the flat host table) stay on the gap
-  path through the tiered table when a tiered kernel is resolvable, and
-  fall back to ``decode_lanes`` (which handles them vectorized) when
-  not — saying so either way;
+  path through the tiered table on every gap backend, the native C
+  kernel included, and fall back to ``decode_lanes`` (which handles
+  them vectorized) only when no compiled kernel exists — saying so;
 - the chunk-parallel driver's output is independent of worker count at
   subchunk granularity, and an injected shard crash degrades to the
   serial path with the fallback counter bumped, never to a wrong answer.
@@ -206,9 +206,9 @@ class TestCorruptStreams:
 class TestDeepBooks:
     def test_wide_book_stays_on_gap_path_via_tiered_table(self):
         """W=32 codewords exceed the flat 16-bit host table, but the
-        automatic tiered promotion keeps the book gap-supported: the
-        tiered backends reproduce the reference walk and decode_lanes
-        byte-for-byte, and only the native flat-only kernel refuses."""
+        automatic tiered promotion keeps the book gap-supported: every
+        gap backend, the native C kernel included, reproduces the
+        reference walk and decode_lanes byte-for-byte."""
         rng = np.random.default_rng(3)
         book = wbit_codebook(32)
         table = cached_decode_table(book)
@@ -220,21 +220,27 @@ class TestDeepBooks:
         buffer, starts, ends, nsyms = stream_lanes(stream)
         want = decode_lanes(buffer, starts, ends, nsyms, book, table)
         ref = reference_gap_array(buffer, starts, ends, book, 256, table)
-        for backend in ["numpy"] + (["njit"] if njit_ready() else []):
+        for backend in _backends() + (["njit"] if njit_ready() else []):
             res = gap_decode_lanes(buffer, starts, ends, nsyms, book,
                                    table, subchunk_bits=256,
                                    backend=backend)
             assert res.backend == backend
             assert res.gap is not None and res.gap.equal(ref)
             np.testing.assert_array_equal(res.symbols, want)
-        with pytest.raises(RuntimeError):
-            gap_decode_lanes(buffer, starts, ends, nsyms, book, table,
-                             subchunk_bits=256, backend="native")
 
-    def test_auto_without_njit_falls_back_to_lanes(self):
-        """``backend="auto"`` with a numpy-resolved registry has no
-        tiered gap kernel: the call degrades to decode_lanes (whose
-        vectorized tiered batch path handles the book) and says so."""
+    def test_auto_without_njit_falls_back_to_lanes(self, monkeypatch):
+        """``backend="auto"`` with the native kernel switched off and a
+        numpy-resolved registry has no compiled gap kernel: the call
+        degrades to decode_lanes (whose vectorized tiered batch path
+        handles the book) and says so."""
+        from repro.decoder import gap_native
+
+        monkeypatch.setenv("REPRO_GAP_DISABLE_NATIVE", "1")
+        for name, value in (("_TRIED", False), ("_KERNEL", None),
+                            ("_ERROR", None)):
+            monkeypatch.setattr(gap_native, name, value)
+        reg = MetricsRegistry()
+        prev = set_registry(reg)
         rng = np.random.default_rng(4)
         book = wbit_codebook(32)
         table = cached_decode_table(book)
@@ -243,12 +249,59 @@ class TestDeepBooks:
                             reduction_factor=2).stream
         buffer, starts, ends, nsyms = stream_lanes(stream)
         want = decode_lanes(buffer, starts, ends, nsyms, book, table)
-        res = gap_decode_lanes(buffer, starts, ends, nsyms, book, table,
-                               subchunk_bits=256, backend="auto",
-                               registry_backend="numpy")
+        try:
+            res = gap_decode_lanes(buffer, starts, ends, nsyms, book,
+                                   table, subchunk_bits=256,
+                                   backend="auto", registry_backend="numpy")
+        finally:
+            set_registry(prev)
+        assert gap_native.kernel() is None
         assert res.backend == "lanes"
         assert res.gap is None
         np.testing.assert_array_equal(res.symbols, want)
+        assert reg.total("repro_decode_gap_lut_fallback_total",
+                         reason="tiered_no_kernel") == 1
+
+
+    @pytest.mark.skipif(not native_available(),
+                        reason="native gap kernel unavailable")
+    def test_native_tiered_route_is_visible(self):
+        """The native route on a deep book counts the tier, the gap
+        symbols and the sync pass's subtable gathers (the batch path's
+        count for the same stream), and stamps ``table_tier`` on both
+        gap spans."""
+        from repro.obs.trace import tracing
+
+        rng = np.random.default_rng(6)
+        book = wbit_codebook(32)
+        table = cached_decode_table(book)
+        data = rng.integers(0, book.n_symbols, 3000).astype(np.uint16)
+        stream = gpu_encode(data, book, magnitude=8).stream
+        lanes = stream_lanes(stream)
+        reg = MetricsRegistry()
+        prev = set_registry(reg)
+        try:
+            with tracing() as t:
+                res = gap_decode_lanes(*lanes, book, table,
+                                       subchunk_bits=256, backend="auto")
+            decode_lanes(*lanes, book, table)
+        finally:
+            set_registry(prev)
+        assert res.backend == "native"
+        np.testing.assert_array_equal(res.symbols, data)
+        assert reg.total("repro_decode_table_tier_total",
+                         tier="tiered") == 2
+        assert reg.total("repro_decode_symbols_total",
+                         path="gap") == data.size
+        gathers = reg.total("repro_decode_subtable_gather_total",
+                            path="gap")
+        assert gathers > 0 and gathers == reg.total(
+            "repro_decode_subtable_gather_total", path="batch"
+        )
+        assert reg.total("repro_decode_gap_lut_fallback_total") == 0
+        tiers = {sp.name: sp.attrs.get("table_tier") for sp in t.spans}
+        assert tiers["decode.gap.sync"] == "tiered"
+        assert tiers["decode.gap.decode"] == "tiered"
 
 
 class TestChunkParallelGap:

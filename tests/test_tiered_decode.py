@@ -10,6 +10,8 @@ The tentpole contract under test:
 - on corrupted streams (bit flips, truncation) every path either raises
   ``ValueError`` like the others or returns the same symbols —
   corruption never silently diverges the implementations;
+- both properties hold for the native C gap kernel too, which takes
+  the tiered table's root+subtable format directly;
 - tiered memory is O(alphabet + 2^k1): at most 25 % of the flat 2^16
   table for every alphabet >= 2^12;
 - the digest-keyed cache accounts bytes, evicts by the byte cap, and
@@ -32,6 +34,8 @@ from hypothesis import strategies as st
 from repro.conform.corpora import deep_codebook, wbit_codebook
 from repro.core.bitstream import decode_stream, stream_lanes
 from repro.core.encoder import gpu_encode
+from repro.decoder.gap_array import gap_decode_lanes, gap_supported
+from repro.decoder.gap_native import native_available
 from repro.huffman.cache import DecodeTableCache, cached_decode_table
 from repro.huffman.codebook import canonical_from_lengths
 from repro.huffman.decoder import (
@@ -73,6 +77,17 @@ def _skewed_symbols(book, n: int, skew: float, seed: int) -> np.ndarray:
     return rng.choice(n_sym, size=n, p=w / w.sum()).astype(np.int64)
 
 
+def _native_gap(buf, nbits, book, n, table):
+    """One dense stream through the native C gap kernel, cut into
+    64-bit subchunks so even short streams run many lanes."""
+    res = gap_decode_lanes(
+        buf, np.array([0]), np.array([nbits]), np.array([n]), book, table,
+        subchunk_bits=64, backend="native",
+    )
+    assert res.backend == "native"
+    return res.symbols
+
+
 class TestEqualityChain:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -103,6 +118,10 @@ class TestEqualityChain:
         # default table selection promotes deep books to tiered
         got_auto = decode_batch(buf, nbits, book, n, impl="lanes")
         np.testing.assert_array_equal(got_auto, want)
+        if native_available():
+            np.testing.assert_array_equal(
+                _native_gap(buf, nbits, book, n, tier_t), want
+            )
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -140,13 +159,19 @@ class TestEqualityChain:
                 outs.append(decode_canonical(cbuf, cbits, book, n, flat_t))
             except ValueError:
                 outs.append(None)
+            for table in (flat_t, tier_t):
+                if native_available() and gap_supported(book, table)[0]:
+                    try:
+                        outs.append(_native_gap(cbuf, cbits, book, n, table))
+                    except ValueError:
+                        outs.append(None)
             kinds = {o is None for o in outs}
             assert len(kinds) == 1, (
                 "one path raised while another returned symbols"
             )
             if outs[0] is not None:
-                np.testing.assert_array_equal(outs[0], outs[1])
-                np.testing.assert_array_equal(outs[0], outs[2])
+                for other in outs[1:]:
+                    np.testing.assert_array_equal(outs[0], other)
 
 
 class TestDeepBookEndToEnd:
