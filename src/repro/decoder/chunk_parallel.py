@@ -92,7 +92,7 @@ def parallel_decode_stream(
     the single-shot vectorized call already saturates one core).
     ``impl`` picks the per-shard machinery: ``"lanes"`` (the lock-step
     batch decoder), ``"gap"`` (the two-pass gap-array decoder), or
-    ``"auto"`` (gap when its compiled backend is available and the
+    ``"auto"`` (gap when the compiled C gap kernel is available and the
     container is large enough).  Shards are contiguous lane ranges
     balanced by decode work at the active impl's granularity; every
     shard reads the shared read-only buffer and decodes whole lanes, so
@@ -104,7 +104,6 @@ def parallel_decode_stream(
     if impl not in ("auto", "gap", "lanes"):
         raise ValueError(f"unknown decode impl: {impl!r}")
     from repro.decoder import gap_array
-    from repro.decoder.gap_native import native_available
 
     with _span("decode.chunk_parallel",
                bytes_in=int(stream.payload_bytes),
@@ -114,16 +113,13 @@ def parallel_decode_stream(
         total_syms = int(nsyms.sum())
         use_gap = impl == "gap" or (
             impl == "auto"
-            and native_available()
+            and gap_array.gap_auto_ready()
             and total_syms >= gap_array.AUTO_MIN_SYMBOLS
         )
         if use_gap:
             # one subchunk width for every shard: shard outputs (and the
             # gap side channel) don't depend on how lanes were sharded
-            S = gap_array.default_subchunk_bits(
-                int((ends - starts).sum()),
-                "native" if native_available() else "numpy",
-            )
+            S = gap_array.DEFAULT_SUBCHUNK_BITS
             weights = gap_array.subchunk_lane_counts(ends - starts, S)
 
             def _decode(s, e, ns):
@@ -142,7 +138,9 @@ def parallel_decode_stream(
         )
         reg = _metrics()
         reg.gauge("repro_decode_pool_workers").set(w)
-        sp.set_attr(impl="gap" if use_gap else "lanes")
+        # without the C kernel, gap shards decode on lanes: say so
+        sp.set_attr(impl="gap" if use_gap and gap_array.gap_auto_ready()
+                    else "lanes")
         if w <= 1 or nsyms.size < 2:
             sp.set_attr(workers=1, shards=1, lanes=int(nsyms.size))
             reg.counter("repro_decode_shards_total").inc()

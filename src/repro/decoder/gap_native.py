@@ -1,9 +1,8 @@
 """Runtime-compiled C kernel backing the gap-array decoder.
 
-ROADMAP names a "compiled-kernel backend registry: keep the NumPy
-implementations as the reference semantics, add an optional compiled
-path" — this module is that path for :mod:`repro.decoder.gap_array`.
-The two kernels mirror the paper's two passes exactly:
+This module is the one compiled path of :mod:`repro.decoder.gap_array`;
+the NumPy lane decoder and the pure-Python reference walk stay as the
+reference semantics.  The two kernels mirror the paper's two passes exactly:
 
 - ``gap_sync_pass``: per-chunk codeword-length walk that records, at
   every fixed-width subchunk boundary, the first codeword-aligned bit
@@ -26,9 +25,9 @@ checked.
 Compilation happens once per process via :mod:`cffi` + the system C
 compiler and is cached on disk keyed by a hash of the C source and
 flags; when cffi, a compiler, or a writable cache directory is missing
-the module degrades to ``kernel() -> None`` and the callers stay on the
-NumPy reference backend.  ``REPRO_GAP_DISABLE_NATIVE=1`` forces that
-degradation (used by tests to pin the reference path).
+the module degrades to ``kernel() -> None`` and the callers decode on
+the NumPy lane decoder instead.  ``REPRO_GAP_DISABLE_NATIVE=1`` forces
+that degradation (used by tests to pin the lanes route).
 ``REPRO_GAP_SANITIZE=1`` builds the same source with
 ``-fsanitize=address,undefined`` into its own digest directory (the
 process must preload ``libasan``; see ``make sanitize-smoke``).
@@ -496,6 +495,6 @@ def native_available() -> bool:
 
 
 def native_error() -> Optional[str]:
-    """Why the native backend is off (``None`` while it works)."""
+    """Why the native kernel is off (``None`` while it works)."""
     kernel()
     return _ERROR

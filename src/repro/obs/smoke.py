@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.decoder.gap_array import gap_route
 from repro.obs.export import validate_chrome_trace
 from repro.obs.metrics import parse_prometheus_text
 from repro.serve.http import run_server
@@ -195,7 +196,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         st = json.loads(body) if status == 200 else {}
         check("GET /stats -> 200", status == 200)
         check("stats: decode section",
-              st.get("decode", {}).get("gap_backend") in ("native", "numpy"),
+              st.get("decode", {}).get("gap_backend") == gap_route(),
               str(st.get("decode", {}).get("gap_backend")))
         check("stats: flight section",
               st.get("flight", {}).get("enabled") is True

@@ -61,43 +61,6 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.tier1)
 
 
-@pytest.fixture(scope="module", params=["numpy", "njit"])
-def repro_backend(request):
-    """Run the requesting module once per registered kernel backend.
-
-    Parametrizes over the :mod:`repro.backends` registry by exporting
-    ``REPRO_BACKEND`` for the duration of the module, so every call that
-    consults the registry default (encode, decode, histogram) runs the
-    same assertions under each backend.  The njit leg enables the
-    pure-Python kernel sim when numba is not importable, and skips only
-    when the backend is genuinely unusable (kill-switched).
-    """
-    name = request.param
-    saved = {
-        k: os.environ.get(k) for k in ("REPRO_BACKEND", "REPRO_NJIT_SIM")
-    }
-    if name == "njit":
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            os.environ.setdefault("REPRO_NJIT_SIM", "1")
-    from repro import backends
-
-    if name not in backends.available_backends():
-        ok, why = backends.backend_availability(name)
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-        pytest.skip(f"backend {name!r} unavailable: {why}")
-    os.environ["REPRO_BACKEND"] = name
-    yield name
-    for k, v in saved.items():
-        if v is None:
-            os.environ.pop(k, None)
-        else:
-            os.environ[k] = v
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

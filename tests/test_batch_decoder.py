@@ -37,9 +37,6 @@ from repro.huffman.decoder import (
 )
 from repro.huffman.serial import serial_encode
 
-# every lane-decode assertion runs under each kernel backend
-pytestmark = pytest.mark.usefixtures("repro_backend")
-
 # ----------------------------------------------------------- strategies
 
 # heavy-tailed histograms: a handful of huge counts and a long tail of

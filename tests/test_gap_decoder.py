@@ -1,19 +1,21 @@
-"""Gap-array decoder: property tests pinning both backends to the spec.
+"""Gap-array decoder: property tests pinning the native kernel to the spec.
 
 The contract under test, on arbitrary encoded containers (varying
 magnitude, skew, reduction factor, and subchunk width):
 
-- both gap backends (numpy always, native when the toolchain compiled)
-  produce symbols bit-identical to ``decode_lanes``;
-- the gap arrays they report are entry-for-entry equal to
+- the native C gap kernel (when the toolchain compiled it) produces
+  symbols bit-identical to ``decode_lanes``;
+- the gap arrays it reports are entry-for-entry equal to
   :func:`reference_gap_array`, the executable serial definition;
 - on corrupted containers the gap path either raises the same
   ``ValueError`` as ``decode_lanes`` or returns bit-identical symbols —
   corruption must never silently change behavior between decoders;
 - deep books (``max_length`` over the flat host table) stay on the gap
-  path through the tiered table on every gap backend, the native C
-  kernel included, and fall back to ``decode_lanes`` (which handles
-  them vectorized) only when no compiled kernel exists — saying so;
+  path through the tiered table on the native C kernel; without a
+  compiled kernel, flat and deep books alike fall back to
+  ``decode_lanes`` — saying so, with one counted ``no_kernel`` reason;
+- ``decode_stream(strategy="auto")`` promotes the gap path whenever the
+  native kernel is present;
 - the chunk-parallel driver's output is independent of worker count at
   subchunk granularity, and an injected shard crash degrades to the
   serial path with the fallback counter bumped, never to a wrong answer.
@@ -41,19 +43,27 @@ from repro.decoder.gap_array import (
     subchunk_lane_counts,
 )
 from repro.decoder.gap_native import native_available
-from repro.backends import njit_ready
 from repro.huffman.cache import cached_decode_table
 from repro.huffman.codebook import CanonicalCodebook
 from repro.huffman.decoder import TieredDecodeTable, decode_lanes
+from repro.obs import set_tracer
 from repro.obs.metrics import MetricsRegistry, set_registry
-
-# run this whole module once per registered kernel backend (the gap
-# decoder consults the backend registry for its auto heuristic)
-pytestmark = pytest.mark.usefixtures("repro_backend")
+from repro.obs.trace import Tracer
 
 
 def _backends() -> list[str]:
-    return ["numpy"] + (["native"] if native_available() else [])
+    return ["native"] if native_available() else []
+
+
+def _disable_native(monkeypatch) -> None:
+    """``REPRO_GAP_DISABLE_NATIVE=1`` for this test, with the kernel's
+    one-shot load state reset so the switch takes effect."""
+    from repro.decoder import gap_native
+
+    monkeypatch.setenv("REPRO_GAP_DISABLE_NATIVE", "1")
+    for name, value in (("_TRIED", False), ("_KERNEL", None),
+                        ("_ERROR", None)):
+        monkeypatch.setattr(gap_native, name, value)
 
 
 def _make_stream(seed: int, n: int, alphabet: int, skew: float,
@@ -206,9 +216,9 @@ class TestCorruptStreams:
 class TestDeepBooks:
     def test_wide_book_stays_on_gap_path_via_tiered_table(self):
         """W=32 codewords exceed the flat 16-bit host table, but the
-        automatic tiered promotion keeps the book gap-supported: every
-        gap backend, the native C kernel included, reproduces the
-        reference walk and decode_lanes byte-for-byte."""
+        automatic tiered promotion keeps the book gap-supported: the
+        native C kernel reproduces the reference walk and decode_lanes
+        byte-for-byte."""
         rng = np.random.default_rng(3)
         book = wbit_codebook(32)
         table = cached_decode_table(book)
@@ -220,7 +230,7 @@ class TestDeepBooks:
         buffer, starts, ends, nsyms = stream_lanes(stream)
         want = decode_lanes(buffer, starts, ends, nsyms, book, table)
         ref = reference_gap_array(buffer, starts, ends, book, 256, table)
-        for backend in _backends() + (["njit"] if njit_ready() else []):
+        for backend in _backends():
             res = gap_decode_lanes(buffer, starts, ends, nsyms, book,
                                    table, subchunk_bits=256,
                                    backend=backend)
@@ -228,40 +238,44 @@ class TestDeepBooks:
             assert res.gap is not None and res.gap.equal(ref)
             np.testing.assert_array_equal(res.symbols, want)
 
-    def test_auto_without_njit_falls_back_to_lanes(self, monkeypatch):
-        """``backend="auto"`` with the native kernel switched off and a
-        numpy-resolved registry has no compiled gap kernel: the call
-        degrades to decode_lanes (whose vectorized tiered batch path
-        handles the book) and says so."""
-        from repro.decoder import gap_native
+    def test_auto_without_kernel_falls_back_to_lanes(self, monkeypatch):
+        """``backend="auto"`` with the native kernel switched off has no
+        compiled gap kernel: the call degrades to decode_lanes for deep
+        (tiered) and flat books alike, reports the ``"lanes"`` route,
+        and counts one ``no_kernel`` fallback per call."""
+        from repro.decoder import gap_array, gap_native
 
-        monkeypatch.setenv("REPRO_GAP_DISABLE_NATIVE", "1")
-        for name, value in (("_TRIED", False), ("_KERNEL", None),
-                            ("_ERROR", None)):
-            monkeypatch.setattr(gap_native, name, value)
-        reg = MetricsRegistry()
-        prev = set_registry(reg)
-        rng = np.random.default_rng(4)
-        book = wbit_codebook(32)
-        table = cached_decode_table(book)
-        data = rng.integers(0, book.n_symbols, 500).astype(np.uint16)
-        stream = gpu_encode(data, book, magnitude=8,
-                            reduction_factor=2).stream
-        buffer, starts, ends, nsyms = stream_lanes(stream)
-        want = decode_lanes(buffer, starts, ends, nsyms, book, table)
-        try:
-            res = gap_decode_lanes(buffer, starts, ends, nsyms, book,
-                                   table, subchunk_bits=256,
-                                   backend="auto", registry_backend="numpy")
-        finally:
-            set_registry(prev)
-        assert gap_native.kernel() is None
-        assert res.backend == "lanes"
-        assert res.gap is None
-        np.testing.assert_array_equal(res.symbols, want)
-        assert reg.total("repro_decode_gap_lut_fallback_total",
-                         reason="tiered_no_kernel") == 1
-
+        _disable_native(monkeypatch)
+        for book_bits in (32, 12):
+            reg = MetricsRegistry()
+            prev = set_registry(reg)
+            rng = np.random.default_rng(4)
+            book = wbit_codebook(book_bits)
+            table = cached_decode_table(book)
+            assert isinstance(table, TieredDecodeTable) == (book_bits > 16)
+            assert gap_supported(book, table)[0] is True
+            data = rng.integers(0, book.n_symbols, 500).astype(np.uint16)
+            stream = gpu_encode(data, book, magnitude=8,
+                                reduction_factor=2).stream
+            buffer, starts, ends, nsyms = stream_lanes(stream)
+            want = decode_lanes(buffer, starts, ends, nsyms, book, table)
+            try:
+                res = gap_decode_lanes(buffer, starts, ends, nsyms, book,
+                                       table, subchunk_bits=256,
+                                       backend="auto")
+            finally:
+                set_registry(prev)
+            assert gap_native.kernel() is None
+            assert gap_array.gap_route() == "lanes"
+            assert res.backend == "lanes"
+            assert res.gap is None
+            np.testing.assert_array_equal(res.symbols, want)
+            assert reg.total("repro_decode_gap_lut_fallback_total",
+                             reason="no_kernel") == 1
+            assert reg.total("repro_decode_gap_lut_fallback_total") == 1
+            with pytest.raises(RuntimeError, match="native gap backend"):
+                gap_decode_lanes(buffer, starts, ends, nsyms, book, table,
+                                 backend="native")
 
     @pytest.mark.skipif(not native_available(),
                         reason="native gap kernel unavailable")
@@ -302,6 +316,61 @@ class TestDeepBooks:
         tiers = {sp.name: sp.attrs.get("table_tier") for sp in t.spans}
         assert tiers["decode.gap.sync"] == "tiered"
         assert tiers["decode.gap.decode"] == "tiered"
+
+
+class TestGapRoute:
+    def test_decode_stream_gap_without_kernel_reports_lanes(
+        self, monkeypatch
+    ):
+        """Under ``REPRO_GAP_DISABLE_NATIVE=1``, ``decode_stream(...,
+        strategy="gap")`` on a flat book returns the lane decoder's
+        output, and ``/stats`` reports the ``"lanes"`` route."""
+        from repro.serve.service import CompressionService, ServiceConfig
+
+        _disable_native(monkeypatch)
+        data, book, stream = _make_stream(31, 8000, 64, 0.3, 8)
+        table = cached_decode_table(book)
+        assert not isinstance(table, TieredDecodeTable)
+        reg = MetricsRegistry()
+        prev = set_registry(reg)
+        try:
+            out = decode_stream(stream, book, strategy="gap")
+        finally:
+            set_registry(prev)
+        np.testing.assert_array_equal(
+            out, decode_stream(stream, book, strategy="batch")
+        )
+        np.testing.assert_array_equal(out, data)
+        assert reg.total("repro_decode_gap_lut_fallback_total",
+                         reason="no_kernel") == 1
+        assert reg.total("repro_decode_symbols_total", path="gap") == 0
+        with CompressionService(ServiceConfig(n_shards=1)) as svc:
+            assert svc.stats()["decode"]["gap_backend"] == "lanes"
+
+    def test_native_still_promotes_gap(self):
+        """``decode_stream``'s auto heuristic takes the gap path when the
+        native kernel is present (large enough stream)."""
+        from repro.core.codebook_parallel import parallel_codebook
+        from repro.decoder import gap_array
+
+        if not native_available():
+            pytest.skip("native gap kernel not built")
+        rng = np.random.default_rng(7)
+        n = max(60_000, gap_array.AUTO_MIN_SYMBOLS)
+        data = rng.integers(0, 40, size=n).astype(np.int64)
+        book = parallel_codebook(
+            np.bincount(data, minlength=64) + 1
+        ).codebook
+        stream = gpu_encode(data, book).stream
+        tracer = Tracer()
+        prev = set_tracer(tracer)
+        try:
+            out = decode_stream(stream, book)
+        finally:
+            set_tracer(prev)
+        sp = [s for s in tracer.spans if s.name == "decode.stream"][0]
+        assert sp.attrs["strategy"] == "gap"
+        np.testing.assert_array_equal(out, data)
 
 
 class TestChunkParallelGap:

@@ -11,9 +11,6 @@ from repro.histogram.gpu_histogram import (
 )
 from repro.histogram.serial import serial_histogram
 
-# gpu_histogram routes its counting kernel through the backend registry
-pytestmark = pytest.mark.usefixtures("repro_backend")
-
 
 class TestReplicationFactor:
     def test_small_alphabet_many_replicas(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -36,11 +37,6 @@ class FakeResult:
             "decode_speedup": 40.0,
             "decode_gap_mb_s": 160.0 * self.scale,
             "decode_speedup_gap": 4.0,
-            "kernel_backend": "njit",
-            "encode_njit_mb_s": 80.0 * self.scale,
-            "encode_njit_speedup": 1.3,
-            "decode_njit_mb_s": 50.0 * self.scale,
-            "decode_njit_speedup": 1.25,
             "compressed_bytes": 1234,
             "cache_hits": 5,
             "cache_misses": 2,
@@ -59,7 +55,6 @@ def test_history_entry_shape():
     e = entry()
     assert e["git_rev"] == "abc1234"
     assert e["gap_backend"] == "native"
-    assert e["backend"] == "njit"  # which kernel backend's columns ran
     assert set(e["datasets"]) == {"enwik8", "nyx_quant"}
     ds = e["datasets"]["enwik8"]
     for m in THROUGHPUT_METRICS:
@@ -166,6 +161,47 @@ def test_cli_check_pass_and_fail(tmp_path):
                          for ds in ("enwik8", "nyx_quant")}}
     bench.write_text(json.dumps(slow))
     assert main(["--history", str(hist), "--check", str(bench)]) == 1
+
+
+def test_cli_check_reads_history_with_retired_njit_keys(tmp_path):
+    """Older lines of the committed history carry the retired njit
+    columns (``encode_njit_mb_s`` ...) and a ``backend`` field; they
+    must still load and baseline the current metrics, and never be
+    gated themselves."""
+    hist = tmp_path / "h.jsonl"
+    for _ in range(5):
+        old = entry()
+        old["backend"] = ""
+        old["counters"]["backend_fallbacks"] = 0
+        for ds in old["datasets"].values():
+            ds.update(encode_njit_mb_s=0.0, decode_njit_mb_s=0.0,
+                      encode_njit_speedup=1.0, decode_njit_speedup=1.0)
+        append_entry(hist, old)
+    assert len(load_history(hist)) == 5
+    doc = {"meta": {"generated_utc": "t"},
+           "datasets": {ds: FakeResult(ds).to_dict()
+                        for ds in ("enwik8", "nyx_quant")}}
+    bench = tmp_path / "b.json"
+    bench.write_text(json.dumps(doc))
+    assert main(["--history", str(hist), "--check", str(bench)]) == 0
+    verdict = check_regression(load_history(hist), entry())
+    assert verdict.checked == 2 * len(THROUGHPUT_METRICS)
+    assert not any("njit" in m for m in THROUGHPUT_METRICS)
+    # a regression against that history is still caught
+    slow = {"meta": doc["meta"],
+            "datasets": {ds: FakeResult(ds, 0.6).to_dict()
+                         for ds in ("enwik8", "nyx_quant")}}
+    bench.write_text(json.dumps(slow))
+    assert main(["--history", str(hist), "--check", str(bench)]) == 1
+
+    # the committed history itself: njit-era lines load and gate
+    committed = (pathlib.Path(__file__).resolve().parents[1]
+                 / "benchmarks" / "results" / "BENCH_history.jsonl")
+    runs = load_history(committed)
+    assert any("encode_njit_mb_s" in ds
+               for e in runs for ds in e["datasets"].values())
+    bench.write_text(json.dumps({"datasets": runs[-1]["datasets"]}))
+    assert main(["--history", str(committed), "--check", str(bench)]) == 0
 
 
 def test_cli_check_append_grows_history(tmp_path):

@@ -28,10 +28,6 @@ from repro.core.serialization import serialize_stream
 from repro.core.shuffle_merge import shuffle_merge
 from repro.core.tuning import EncoderTuning
 
-# scan_pack_symbols dispatches its hot loops via the backend registry;
-# run the whole equivalence suite once per backend
-pytestmark = pytest.mark.usefixtures("repro_backend")
-
 
 def book_for(data, n):
     return parallel_codebook(np.bincount(data, minlength=n)).codebook

@@ -20,8 +20,6 @@ The tentpole contract under test:
   (``repro_decode_table_tier_total``), the subtable gather volume, and
   — critically — **zero** ``repro_decode_lut_fallback_total`` on deep
   books now served by the tiered table.
-
-The whole module runs once per registered kernel backend.
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ from repro.huffman.decoder import (
 )
 from repro.huffman.serial import serial_encode
 from repro.obs.metrics import MetricsRegistry, set_registry
-
-pytestmark = pytest.mark.usefixtures("repro_backend")
 
 
 @pytest.fixture
