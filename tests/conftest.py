@@ -61,6 +61,17 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.tier1)
 
 
+@pytest.fixture(scope="module", params=["numpy"])
+def host_kernels(request):
+    """Label each test of a module with the host kernel set it runs on.
+
+    Histogram, scan-pack and lane decode have one host implementation,
+    the NumPy kernels, so this fixture has one value. It keeps the
+    ``[numpy]`` test ids of the modules that use it stable.
+    """
+    return request.param
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -37,6 +37,9 @@ from repro.huffman.decoder import (
 )
 from repro.huffman.serial import serial_encode
 
+# every lane-decode assertion runs on the NumPy host kernels
+pytestmark = pytest.mark.usefixtures("host_kernels")
+
 # ----------------------------------------------------------- strategies
 
 # heavy-tailed histograms: a handful of huge counts and a long tail of

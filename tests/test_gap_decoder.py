@@ -50,6 +50,10 @@ from repro.obs import set_tracer
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import Tracer
 
+# decode_lanes and reference_gap_array, the oracles, run on the NumPy
+# host kernels
+pytestmark = pytest.mark.usefixtures("host_kernels")
+
 
 def _backends() -> list[str]:
     return ["native"] if native_available() else []

@@ -11,6 +11,9 @@ from repro.histogram.gpu_histogram import (
 )
 from repro.histogram.serial import serial_histogram
 
+# gpu_histogram counts with the NumPy host kernel
+pytestmark = pytest.mark.usefixtures("host_kernels")
+
 
 class TestReplicationFactor:
     def test_small_alphabet_many_replicas(self):

@@ -28,6 +28,9 @@ from repro.core.serialization import serialize_stream
 from repro.core.shuffle_merge import shuffle_merge
 from repro.core.tuning import EncoderTuning
 
+# scan_pack_symbols runs its hot loops on the NumPy host kernels
+pytestmark = pytest.mark.usefixtures("host_kernels")
+
 
 def book_for(data, n):
     return parallel_codebook(np.bincount(data, minlength=n)).codebook

@@ -48,6 +48,9 @@ from repro.huffman.decoder import (
 from repro.huffman.serial import serial_encode
 from repro.obs.metrics import MetricsRegistry, set_registry
 
+# the tiered lane decoder runs on the NumPy host kernels
+pytestmark = pytest.mark.usefixtures("host_kernels")
+
 
 @pytest.fixture
 def registry():
