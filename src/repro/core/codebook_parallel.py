@@ -101,7 +101,7 @@ def parallel_codebook(
         )
 
         with _span("encode.codebook.generate_cl"):
-            cl = generate_cl(f_sorted, device=device)
+            cl = generate_cl(f_sorted)
         with _span("encode.codebook.generate_cw"):
             cw = generate_cw(cl.lengths_sorted, order, n, device=device)
         # The separate canonize kernel of the cuSZ baseline is unnecessary

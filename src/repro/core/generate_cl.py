@@ -9,20 +9,24 @@ histogram sorted by ascending frequency, each round:
    the sorted leaf queue — found with the ``copy``/``atomicMax`` idiom of
    Algorithm 1, lines 8–13);
 3. PARMERGEs the selected leaves with the internal-node queue (GPU Merge
-   Path, fused into the same kernel — :mod:`repro.core.merge_path`);
+   Path, fused into the same kernel — :mod:`repro.core.merge_path`; the
+   partition search models the GPU kernel, and the host takes the
+   round's order from a stable argsort checked against
+   :func:`~repro.core.merge_path.stable_merge`);
 4. melds adjacent pairs of the merged sequence in parallel (dropping the
    largest element back into the queue when the count is odd, the
    ``s``-adjustment of line 16);
 5. concurrently updates every leaf's codeword length and leader pointer
-   (line 23–25).
+   (line 23–25; the host reads the same lengths off the tree once, after
+   the last round).
 
 Rounds repeat until one subtree remains; the number of rounds is O(H) for
 codeword height H, which is what gives the observed O(H log(n/H)) ≈
 O(log n) scaling of Table III.
 
 Node bookkeeping is structure-of-arrays, as in the paper ("accesses to
-single fields of consecutive elements are coalesced"): per-leaf ``CL`` and
-``leader`` vectors plus a flat registry of subtree nodes.  The safety of
+single fields of consecutive elements are coalesced"): flat per-node
+frequency and parent vectors over leaves and subtree nodes.  The safety of
 pairwise melding (every selected node is smaller than ``t``) is
 Ostadzadeh's Lemma; we assert the resulting queue stays sorted and the
 test-suite validates optimality against the serial tree on thousands of
@@ -31,13 +35,13 @@ histograms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.merge_path import parallel_merge
+from repro.core.merge_path import stable_merge
 from repro.cuda.costmodel import KernelCost
-from repro.cuda.device import DeviceSpec, V100
 
 __all__ = ["GenerateCLResult", "generate_cl"]
 
@@ -60,9 +64,7 @@ class GenerateCLResult:
     max_queue: int
 
 
-def generate_cl(
-    freq_sorted: np.ndarray, device: DeviceSpec = V100
-) -> GenerateCLResult:
+def generate_cl(freq_sorted: np.ndarray) -> GenerateCLResult:
     """Run GenerateCL on an ascending-sorted positive histogram.
 
     ``freq_sorted`` must contain only the *used* symbols' frequencies in
@@ -76,138 +78,105 @@ def generate_cl(
     if np.any(f <= 0):
         raise ValueError("freq_sorted must be strictly positive")
     m = int(f.size)
-    CL = np.zeros(m, dtype=np.int32)
     if m <= 1:
-        CL[:] = 1 if m == 1 else 0
         return GenerateCLResult(
-            lengths_sorted=CL, rounds=0,
+            lengths_sorted=np.ones(m, dtype=np.int32), rounds=0,
             cost=KernelCost(name="codebook.generate_cl", launches=1,
                             meta={"rounds": 0, "n": m}),
             merge_elements=0, max_queue=0,
         )
 
     # ---- structure-of-arrays node registry ------------------------------
-    # ids < m are raw leaves; ids >= m are subtree (internal) nodes
-    cap = 4 * m + 8
-    node_freq = np.zeros(cap, dtype=np.int64)
+    # ids < m are raw leaves; ids >= m are subtree (internal) nodes,
+    # allocated in increasing order, so a node's parent always has a
+    # higher id.  m leaves meld into exactly m - 1 internal nodes, and
+    # each node melds into its parent once: ``parent`` is the whole tree
+    node_freq = np.zeros(2 * m, dtype=np.int64)
     node_freq[:m] = f
+    f_list = f.tolist()
+    parent = np.full(2 * m, -1, dtype=np.int64)
     next_id = m
-    # per-leaf state
-    leader = np.full(m, -1, dtype=np.int64)
+    round_first_id: list[int] = []
 
-    # queues: leaf front index + internal deque of node ids (kept sorted
+    # queues: leaf front index + internal queue of node ids (kept sorted
     # ascending by frequency)
     c = 0  # leaves consumed
-    iq: list[int] = []
+    iq = np.empty(0, dtype=np.int64)
 
-    # round→leaf remapping scratch
     rounds = 0
     merge_elements = 0
     max_queue = 0
     atomic_ops = 0
 
-    def new_node(freq: int) -> int:
-        nonlocal next_id, node_freq
-        if next_id == node_freq.size:
-            node_freq = np.concatenate([node_freq, np.zeros(cap, dtype=np.int64)])
-        node_freq[next_id] = freq
-        next_id += 1
-        return next_id - 1
-
-    def apply_melds(pairs: list[tuple[int, int, int]]) -> None:
-        """Concurrent UPDATELEAFNODE: remap leaders, bump CL."""
-        nonlocal leader, CL
-        remap = {}
-        for x, y, nid in pairs:
-            remap[x] = nid
-            remap[y] = nid
-        # raw-leaf children attach directly (first meld: CL 0 -> 1)
-        for x, y, nid in pairs:
-            for child in (x, y):
-                if child < m:
-                    leader[child] = nid
-                    CL[child] += 1
-        # subtree children: vectorized remap of all leaves at once
-        internal_olds = [o for o in remap if o >= m]
-        if internal_olds:
-            lo = min(internal_olds)
-            hi = max(internal_olds)
-            table = np.full(hi - lo + 1, -1, dtype=np.int64)
-            for o in internal_olds:
-                table[o - lo] = remap[o]
-            mask = (leader >= lo) & (leader <= hi)
-            if np.any(mask):
-                mapped = table[leader[mask] - lo]
-                hit = mapped >= 0
-                idx = np.flatnonzero(mask)[hit]
-                leader[idx] = mapped[hit]
-                CL[idx] += 1
-
-    while (m - c) + len(iq) > 1:
+    while (m - c) + iq.size > 1:
         rounds += 1
+        round_first_id.append(next_id)
         # -- 1. threshold node t from the two smallest -------------------
-        picks: list[int] = []
+        picks = []
         for _ in range(2):
-            take_leaf = c < m and (not iq or f[c] <= node_freq[iq[0]])
-            if take_leaf:
+            if c < m and (not iq.size or f_list[c] <= node_freq[iq[0]]):
                 picks.append(c)
                 c += 1
             else:
-                picks.append(iq.pop(0))
+                picks.append(int(iq[0]))
+                iq = iq[1:]
+        t_id = next_id
+        next_id += 1
         t_freq = int(node_freq[picks[0]] + node_freq[picks[1]])
-        t_id = new_node(t_freq)
-        apply_melds([(picks[0], picks[1], t_id)])
+        node_freq[t_id] = t_freq
+        parent[picks] = t_id
 
         # -- 2. select eligible leaves (freq < t) ------------------------
         # (the copy/atomicMax selection of lines 8-13; a prefix because the
         # leaf queue is sorted)
-        k = int(np.searchsorted(f[c:], t_freq, side="left"))
-        copy_ids = list(range(c, c + k))
+        k = bisect_left(f_list, t_freq, c) - c
         atomic_ops += k
-        c += k
 
         # -- 3. PARMERGE leaves with the internal queue ------------------
-        sel = iq  # Ostadzadeh's Lemma: all queued internal nodes are < t
-        iq = []
-        if copy_ids or sel:
-            a = f[copy_ids[0]: copy_ids[-1] + 1] if copy_ids else f[:0]
-            b = node_freq[sel] if sel else node_freq[:0]
-            merged_freqs, _stats = parallel_merge(a, b, p=device.sm_count * 2)
+        # Ostadzadeh's Lemma: all queued internal nodes are < t
+        sel = iq
+        temp = np.empty(0, dtype=np.int64)
+        if k or sel.size:
+            merged_freqs = stable_merge(f[c: c + k], node_freq[sel])
             merge_elements += merged_freqs.size
             # id order of the stable merge: a stable argsort of the
             # concatenated keys IS the two-pointer merge with leaf priority
             # on ties (copy precedes sel in the concatenation)
-            all_ids = np.asarray(copy_ids + sel, dtype=np.int64)
+            all_ids = np.concatenate([np.arange(c, c + k), sel])
             keys = node_freq[all_ids]
-            temp_arr = all_ids[np.argsort(keys, kind="stable")]
-            assert np.array_equal(node_freq[temp_arr], merged_freqs)
-            temp = temp_arr.tolist()
-        else:
-            temp = []
+            temp = all_ids[keys.argsort(kind="stable")]
+            assert np.array_equal(node_freq[temp], merged_freqs)
+        c += k
 
         # -- 4. even-size adjustment + pairwise meld ---------------------
-        leftover: list[int] = []
-        if len(temp) % 2 == 1:
-            leftover.append(temp.pop())
-        pairs = []
-        new_ids = []
-        for j in range(0, len(temp), 2):
-            x, y = temp[j], temp[j + 1]
-            nid = new_node(int(node_freq[x] + node_freq[y]))
-            pairs.append((x, y, nid))
-            new_ids.append(nid)
-        if pairs:
-            apply_melds(pairs)
+        leftover = temp[temp.size & ~1:]
+        xs, ys = temp[0: temp.size - 1: 2], temp[1::2]
+        new_ids = np.arange(next_id, next_id + xs.size, dtype=np.int64)
+        next_id += xs.size
+        node_freq[new_ids] = node_freq[xs] + node_freq[ys]
+        parent[xs] = new_ids
+        parent[ys] = new_ids
 
-        # -- 5. rebuild the queue: leftover < t <= melds (ascending) -----
-        iq = leftover + [t_id] + new_ids
+        # rebuild the queue: leftover < t <= melds (ascending)
+        iq = np.concatenate([leftover, [t_id], new_ids])
         qf = node_freq[iq]
-        if np.any(np.diff(qf) < 0):  # pragma: no cover - theory guard
-            order = np.argsort(qf, kind="stable")
-            iq = [iq[int(o)] for o in order]
-        max_queue = max(max_queue, len(iq))
+        if (qf[1:] < qf[:-1]).any():  # pragma: no cover - theory guard
+            iq = iq[qf.argsort(kind="stable")]
+        max_queue = max(max_queue, iq.size)
 
-    H = int(CL.max()) if m else 0
+    # -- 5. UPDATELEAFNODE: each round adds one to the CL of every leaf
+    # under a node it melded, so a leaf's CL is its depth in the tree.
+    # Read depths off ``parent`` round by round from the root down (a
+    # round's nodes are one id range, and their parents come from later
+    # rounds); the root's parent -1 reads the sentinel slot, depth -1
+    depth = np.zeros(2 * m + 1, dtype=np.int32)
+    depth[-1] = -1
+    bounds = round_first_id + [next_id]
+    for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+        depth[lo:hi] = depth[parent[lo:hi]] + 1
+    CL = depth[parent[:m]] + 1
+
+    H = int(CL.max())
     # structural cost: every round touches O(n) node state across five
     # fine-grained parallel regions synchronized with cooperative groups
     cost = KernelCost(

@@ -11,7 +11,10 @@ fuses this into the GenerateCL kernel rather than launching it separately.
 We implement the diagonal partition search exactly (it is pure index
 arithmetic) and the per-partition serial merge vectorably; the structural
 output — partition count, per-partition spans, diagonal search depth —
-feeds the cost model.
+feeds the cost model.  The partition search models the GPU kernel only:
+the host codebook path (:mod:`repro.core.generate_cl`) merges with
+:func:`stable_merge` directly, because on a host the search result would
+be computed and thrown away.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MergeStats", "merge_path_partition", "parallel_merge"]
+__all__ = [
+    "MergeStats", "merge_path_partition", "parallel_merge", "stable_merge",
+]
 
 
 @dataclass
@@ -67,6 +72,23 @@ def merge_path_partition(
     return ai, bi
 
 
+def stable_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stable merge of two sorted arrays, ties taken from ``a`` first.
+
+    The functional equivalent of the per-partition serial two-pointer
+    loops: each element's position in the merged output comes from one
+    ``searchsorted`` into the other array.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    pos_a = np.arange(a.size) + b.searchsorted(a, side="left")
+    pos_b = np.arange(b.size) + a.searchsorted(b, side="right")
+    out = np.empty(a.size + b.size, dtype=np.result_type(a, b))
+    out[pos_a] = a
+    out[pos_b] = b
+    return out
+
+
 def parallel_merge(
     a: np.ndarray, b: np.ndarray, p: int
 ) -> tuple[np.ndarray, MergeStats]:
@@ -74,8 +96,7 @@ def parallel_merge(
 
     Output equals ``sorted(concat(a, b))`` with ties taken from ``a``
     first.  The partition search is performed exactly as on the GPU; the
-    per-partition serial merges are delegated to a vectorized two-pointer
-    equivalent for speed.
+    per-partition serial merges are delegated to :func:`stable_merge`.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -84,15 +105,7 @@ def parallel_merge(
     if total == 0:
         return np.empty(0, dtype=a.dtype), MergeStats(0, p, 0, 0)
     ai, bi = merge_path_partition(a, b, p)
-
-    # Vectorized stable merge (functional equivalent of the per-partition
-    # serial two-pointer loops): position of each element in the merged
-    # output via searchsorted.
-    pos_a = np.arange(na) + np.searchsorted(b, a, side="left")
-    pos_b = np.arange(nb) + np.searchsorted(a, b, side="right")
-    out = np.empty(total, dtype=np.result_type(a, b))
-    out[pos_a] = a
-    out[pos_b] = b
+    out = stable_merge(a, b)
 
     spans = np.diff(ai) + np.diff(bi)
     stats = MergeStats(

@@ -20,8 +20,9 @@ Two entry points:
 - :func:`scan_pack_symbols` — the fast path straight from symbols: one
   gather through a digest-cached packed ``(code << 16) | length`` table
   replaces the two codebook-lookup gathers, the reduce runs on packed
-  words (6 ops per merge, no separate length array), and an optional
-  pair table fuses the lookup with the first REDUCE iteration.
+  words (6 ops per merge, no separate length array), and a pair table,
+  when it is cached or no larger than the input, fuses the lookup with
+  the first REDUCE iteration.
 
 Bit-exactness of the packed representation
 ------------------------------------------
@@ -98,7 +99,9 @@ _table_lock = threading.Lock()
 
 def _cached_table(key, build):
     """Tiny thread-safe LRU for packed lookup tables (keyed by codebook
-    content digest, so deserialized codebooks share entries)."""
+    content digest, so deserialized codebooks share entries).  Eviction
+    is per kind: a stream of cold books' per-symbol tables never evicts
+    a registered book's pair table."""
     with _table_lock:
         if key in _table_cache:
             _table_cache.move_to_end(key)
@@ -107,8 +110,9 @@ def _cached_table(key, build):
     with _table_lock:
         _table_cache[key] = value
         _table_cache.move_to_end(key)
-        while len(_table_cache) > _TABLE_CACHE_SIZE:
-            _table_cache.popitem(last=False)
+        same = [k for k in _table_cache if k[1] == key[1]]
+        for old in same[: len(same) - _TABLE_CACHE_SIZE]:
+            del _table_cache[old]
     return value
 
 
@@ -211,6 +215,51 @@ def packed_pair_table(book: CanonicalCodebook) -> np.ndarray | None:
     return _cached_table((_book_digest(book), "pair"), build)
 
 
+def _gather_pairs(
+    data: np.ndarray, book: CanonicalCodebook
+) -> np.ndarray | None:
+    """Packed merges of ``data``'s symbol pairs (``data.size`` even)
+    through the pair table, or ``None`` when building the table would
+    cost more than it saves.
+
+    A pair table is worth its build only when it is already cached (a
+    registered book warms it at registration) or it has no more entries
+    than the input has symbols; a cold 1024-symbol book would otherwise
+    build 8 MiB of pairs to encode a few thousand symbols.  Either way
+    the output bytes are the same: without the table the encoder gathers
+    the packed per-symbol table and runs all ``r`` merges.  A uint8
+    stream gathers through its little-endian uint16 view (the
+    65,536-entry ``_le`` table).
+    """
+    K = book.n_symbols
+    le = (data.dtype == np.uint8 and K <= 256 and np.little_endian
+          and data.flags.c_contiguous)
+    kind, entries = ("pair_le", 1 << 16) if le else ("pair", K * K)
+    if entries > data.size:
+        key = (_book_digest(book), kind)
+        with _table_lock:
+            if key in _table_cache:
+                _table_cache.move_to_end(key)
+            pair = _table_cache.get(key)
+    else:
+        pair = _packed_pair_table_le(book) if le else packed_pair_table(book)
+    if pair is None:
+        return None
+    if le:
+        return pair[data.view(np.uint16)]
+    if data.dtype == np.uint16 and np.little_endian \
+            and data.flags.c_contiguous:
+        # contiguous uint32 view: both symbols of a pair in one load,
+        # index math in uint32 (fits: K^2 <= 2^21)
+        u = data.view(np.uint32)
+        idx = (u & np.uint32(0xFFFF)) * np.uint32(K) + (u >> np.uint32(16))
+    else:
+        idx = data[0::2].astype(np.int64)
+        idx *= K
+        idx += data[1::2]
+    return pair[idx]
+
+
 def _packed_pair_table_le(book: CanonicalCodebook) -> np.ndarray:
     """Pair table laid out for the little-endian uint16 view of a uint8
     symbol stream: index ``d0 | (d1 << 8)`` maps to merge(d0, d1)."""
@@ -238,8 +287,9 @@ def packed_pair_stats(
     iteration share a single gather.
 
     Returns ``None`` when the pair-table path does not apply: tiny or
-    signed inputs, alphabet above the table cap, or — decisively — a
-    codebook with zero-length (unused) symbols.  In that last case the
+    signed inputs, alphabet above the table cap, a pair table that does
+    not pay for its build (:func:`_gather_pairs`), or — decisively
+    — a codebook with zero-length (unused) symbols.  In that last case the
     no-codeword check requires a per-symbol gather that costs more than
     the whole histogram-based stats pass, so the caller's fallback is
     the faster route; with a *complete* codebook no per-symbol check
@@ -253,36 +303,15 @@ def packed_pair_stats(
     if bool((book.lengths == 0).any()):
         return None
     K = book.n_symbols
-    even = data[: data.size & ~1]
-    if data.dtype == np.uint8 and K <= 256 \
-            and np.little_endian and data.flags.c_contiguous:
-        if K < 256:
-            mx = int(data.max())
-            if mx >= K:
-                raise IndexError(
-                    f"index {mx} is out of bounds for axis 0 with "
-                    f"size {K}"
-                )
-        p = _packed_pair_table_le(book)[even.view(np.uint16)]
-    else:
-        pair = packed_pair_table(book)
-        if pair is None:
-            return None
+    if data.dtype != np.uint8 or K < 256:
         mx = int(data.max())
         if mx >= K:
             raise IndexError(
                 f"index {mx} is out of bounds for axis 0 with size {K}"
             )
-        if data.dtype == np.uint16 and np.little_endian \
-                and data.flags.c_contiguous:
-            u = even.view(np.uint32)
-            idx = (u & np.uint32(0xFFFF)) * np.uint32(K) \
-                + (u >> np.uint32(16))
-        else:
-            idx = even[0::2].astype(np.int64)
-            idx *= K
-            idx += even[1::2]
-        p = pair[idx]
+    p = _gather_pairs(data[: data.size & ~1], book)
+    if p is None:
+        return None
     total = int((p & _LEN_MASK).sum(dtype=np.uint64))
     if data.size & 1:
         total += int(book.lengths[int(data[-1])])
@@ -561,31 +590,8 @@ def scan_pack_symbols(
         # fuse lookup with the first REDUCE iteration through a pair table
         if pair_packed is not None:
             p = pair_packed[: data.size // 2]
-        elif (
-            data.dtype == np.uint8
-            and book.n_symbols <= 256
-            and np.little_endian
-            and data.flags.c_contiguous
-        ):
-            p = _packed_pair_table_le(book)[data.view(np.uint16)]
         else:
-            pair = packed_pair_table(book)
-            if pair is not None:
-                if (
-                    data.dtype == np.uint16
-                    and np.little_endian
-                    and data.flags.c_contiguous
-                ):
-                    # contiguous uint32 view: both symbols of a pair in
-                    # one load, index math in uint32 (fits: K^2 <= 2^21)
-                    u = data.view(np.uint32)
-                    idx = (u & np.uint32(0xFFFF)) \
-                        * np.uint32(book.n_symbols) + (u >> np.uint32(16))
-                else:
-                    idx = data[0::2].astype(np.int64)
-                    idx *= book.n_symbols
-                    idx += data[1::2]
-                p = pair[idx]
+            p = _gather_pairs(data, book)
         if p is not None:
             r -= 1
     if p is None:

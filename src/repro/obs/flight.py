@@ -58,7 +58,8 @@ _PATH_ATTRS = {
         ("strategy", "decode_strategy"),
         ("table_tier", "table_tier"),
     ),
-    "decode.gap": (("backend", "gap_backend"),),
+    "decode.gap.sync": (("backend", "gap_backend"),),
+    "decode.gap.decode": (("backend", "gap_backend"),),
 }
 _CACHE_ATTRS = ("codebook_cache", "decode_table_cache", "codebook_registry")
 

@@ -73,6 +73,79 @@ class TestCanonicalFromLengths:
                 assert np.all(np.diff(cls.astype(np.int64)) == 1)
 
 
+def _loop_canonical(lengths):
+    """The per-class Python loop canonical_from_lengths used to rank
+    symbols with, kept as the oracle for its array expression."""
+    lengths = np.asarray(lengths, dtype=np.int32)
+    used = np.flatnonzero(lengths > 0)
+    codes = np.zeros(lengths.size, dtype=np.uint64)
+    if used.size == 0:
+        return codes, np.zeros(1, np.int64), np.zeros(1, np.int64), used
+    maxlen = int(lengths.max())
+    counts = np.bincount(lengths[used], minlength=maxlen + 1)
+    counts[0] = 0
+    first = np.zeros(maxlen + 1, dtype=np.int64)
+    entry = np.zeros(maxlen + 1, dtype=np.int64)
+    code = 0
+    for l in range(1, maxlen + 1):
+        code = (code + int(counts[l - 1])) << 1
+        first[l] = code
+        entry[l] = entry[l - 1] + counts[l - 1]
+    order = used[np.lexsort((used, lengths[used]))]
+    within = np.zeros(order.size, dtype=np.int64)
+    lens_sorted = lengths[order].astype(np.int64)
+    for s in np.r_[0, np.flatnonzero(np.diff(lens_sorted)) + 1]:
+        e = s
+        while e < lens_sorted.size and lens_sorted[e] == lens_sorted[s]:
+            e += 1
+        within[s:e] = np.arange(e - s)
+    codes[order] = (first[lens_sorted] + within).astype(np.uint64)
+    return codes, first, entry, order
+
+
+@st.composite
+def length_vectors(draw):
+    """Kraft-valid length vectors up to 40 bits deep: grow a chain by
+    splitting the deepest leaf of a binary tree, split random leaves,
+    drop some leaves (incomplete codes), add unused symbols, shuffle."""
+    depths = [0]
+    chain = [-1] * draw(st.integers(0, 40))
+    for pick in chain + draw(st.lists(st.integers(0, 10**6), max_size=60)):
+        i = int(np.argmax(depths)) if pick < 0 else pick % len(depths)
+        if depths[i] < 40:
+            d = depths.pop(i)
+            depths += [d + 1, d + 1]
+    keep = draw(st.lists(st.booleans(), min_size=len(depths),
+                         max_size=len(depths)))
+    lens = [d for d, k in zip(depths, keep) if k or d == 0]
+    lens += [0] * draw(st.integers(0, 12))
+    return np.asarray(draw(st.permutations(lens)), dtype=np.int32)
+
+
+class TestCanonicalRankExpression:
+    @staticmethod
+    def _check(lengths):
+        book = canonical_from_lengths(lengths)
+        codes, first, entry, order = _loop_canonical(lengths)
+        assert np.array_equal(book.codes, codes)
+        assert np.array_equal(book.first, first)
+        assert np.array_equal(book.entry, entry)
+        assert np.array_equal(book.symbols_by_code, order)
+
+    @given(length_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, lengths):
+        self._check(lengths)
+
+    @pytest.mark.parametrize("lengths", [
+        [], [0, 0, 0], [1], [0, 0, 5, 0],
+        list(range(1, 41)) + [40],
+        [40] * 2 + list(range(39, 0, -1)) + [0, 0],
+    ])
+    def test_edge_vectors(self, lengths):
+        self._check(np.asarray(lengths, dtype=np.int32))
+
+
 class TestCodebookProperties:
     def test_average_bitwidth(self):
         book = canonical_from_lengths(np.array([1, 2, 2]))

@@ -89,6 +89,75 @@ class TestGenerateCL:
         assert int(np.sum(f * res.lengths_sorted)) == int(np.sum(f * opt))
 
 
+def _pinned_histograms():
+    rng = np.random.default_rng(2021)
+    yield "uniform", np.sort(rng.integers(1, 10**6, 1024))
+    z = rng.zipf(1.3, 200_000)
+    z = np.bincount(z[z <= 4096])
+    yield "zipf", np.sort(z[z > 0])
+    spine = (1.8 ** np.arange(36)).astype(np.int64) + rng.integers(0, 3, 36)
+    yield "geometric", np.sort(
+        np.concatenate([rng.integers(1, 50, 200), spine]))
+    yield "ties", np.full(777, 5, dtype=np.int64)
+
+
+#: GenerateCL's structure on the histograms above, recorded from the
+#: implementation that ran the Merge Path partition search every round;
+#: ``length_counts[l]`` symbols get length l (sorted lengths are
+#: non-increasing, so the counts pin the whole vector)
+_PINNED = {
+    "uniform": dict(
+        length_counts=[0, 0, 0, 0, 0, 0, 0, 0, 0, 256, 377, 210, 90, 43,
+                       27, 10, 7, 1, 1, 2],
+        rounds=19, merge_elements=2018, max_queue=336,
+        bytes_coalesced=265760.0, shared_atomics=1017.0,
+        grid_syncs=76, compute_cycles=234920.0, H=19,
+    ),
+    "zipf": dict(
+        length_counts=[0, 0, 1, 1, 2, 2, 5, 9, 12, 26, 41, 74, 103, 213,
+                       331, 561, 1260, 988],
+        rounds=18, merge_elements=7229, max_queue=671,
+        bytes_coalesced=899528.0, shared_atomics=3618.0,
+        grid_syncs=72, compute_cycles=797800.0, H=17,
+    ),
+    "geometric": dict(
+        length_counts=[0] + [1] * 19 + [0, 2, 1, 1, 2, 1, 1, 1, 63, 81, 31,
+                                        17, 7, 3, 6],
+        rounds=34, merge_elements=428, max_queue=69,
+        bytes_coalesced=103136.0, shared_atomics=227.0,
+        grid_syncs=136, compute_cycles=88800.0, H=34,
+    ),
+    "ties": dict(
+        length_counts=[0] * 9 + [247, 530],
+        rounds=10, merge_elements=1539, max_queue=389,
+        bytes_coalesced=117864.0, shared_atomics=775.0,
+        grid_syncs=40, compute_cycles=108480.0, H=10,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_generate_cl_structure_pinned(name):
+    freqs = dict(_pinned_histograms())[name]
+    pin = _PINNED[name]
+    res = generate_cl(freqs)
+    counts = np.asarray(pin["length_counts"])
+    lengths = np.repeat(np.arange(counts.size)[::-1], counts[::-1])
+    assert np.array_equal(res.lengths_sorted, lengths)
+    assert (res.rounds, res.merge_elements, res.max_queue) == (
+        pin["rounds"], pin["merge_elements"], pin["max_queue"])
+    cost = res.cost
+    assert cost.bytes_coalesced == pin["bytes_coalesced"]
+    assert cost.shared_atomics == pin["shared_atomics"]
+    assert cost.grid_syncs == pin["grid_syncs"]
+    assert cost.compute_cycles == pin["compute_cycles"]
+    assert cost.launches == 1 and cost.bytes_random == 0.0
+    assert cost.meta == {"rounds": pin["rounds"], "n": freqs.size,
+                         "H": pin["H"],
+                         "merge_elements": pin["merge_elements"],
+                         "max_queue": pin["max_queue"]}
+
+
 class TestGenerateCW:
     def _run(self, freqs):
         freqs = np.asarray(freqs, dtype=np.int64)

@@ -133,7 +133,7 @@ def test_extract_paths():
         {"name": "encode.reduce_shuffle_merge", "attrs": {"impl": "scan"}},
         {"name": "encode.codebook", "attrs": {"codebook_cache": "hit"}},
         {"name": "decode.stream", "attrs": {"strategy": "gap"}},
-        {"name": "decode.gap", "attrs": {"backend": "native"}},
+        {"name": "decode.gap.sync", "attrs": {"backend": "native"}},
     )
     assert extract_paths(spans) == {
         "encode_impl": "scan",

@@ -18,8 +18,12 @@ from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import ENCODE_IMPLS, gpu_encode
 from repro.core.reduce_merge import reduce_merge
 from repro.core.scan_pack import (
+    _packed_pair_table_le,
+    _table_cache,
+    _table_lock,
     analytic_moved_words,
     packed_pair_stats,
+    packed_pair_table,
     packed_tables_supported,
     scan_pack,
     scan_pack_symbols,
@@ -27,6 +31,7 @@ from repro.core.scan_pack import (
 from repro.core.serialization import serialize_stream
 from repro.core.shuffle_merge import shuffle_merge
 from repro.core.tuning import EncoderTuning
+from repro.huffman.cache import codebook_digest
 
 # scan_pack_symbols runs its hot loops on the NumPy host kernels
 pytestmark = pytest.mark.usefixtures("host_kernels")
@@ -200,3 +205,82 @@ class TestScanPackUnits:
             sc = gpu_encode(syms, book, magnitude=6, impl="scan")
             assert serialize_stream(sc.stream, book) == \
                 serialize_stream(it.stream, book)
+
+
+def _cached_kinds(book):
+    """Which packed tables of ``book`` the scan-pack cache holds."""
+    digest = codebook_digest(book)
+    with _table_lock:
+        return {kind for d, kind in _table_cache if d == digest}
+
+
+def _drop_cached(book):
+    digest = codebook_digest(book)
+    with _table_lock:
+        for kind in ("packed", "pair", "pair_le"):
+            _table_cache.pop((digest, kind), None)
+
+
+def _complete_book(seed, K, n, dtype):
+    """A fresh book with a codeword for every symbol (add-one smoothing,
+    as codebook registration does) and an input drawn from it."""
+    rng = np.random.default_rng(seed)
+    syms = rng.choice(K, size=n, p=rng.dirichlet(np.ones(K) * 0.3))
+    syms = syms.astype(dtype)
+    book = parallel_codebook(np.bincount(syms, minlength=K) + 1).codebook
+    _drop_cached(book)
+    return syms, book
+
+
+class TestPairTableRule:
+    """A pair table is gathered from only when it is already cached or
+    has no more entries than the input has symbols."""
+
+    @pytest.mark.parametrize("K,dtype,kind", [
+        (1024, np.uint16, "pair"),
+        (256, np.uint8, "pair_le"),
+    ])
+    def test_small_input_on_fresh_book_skips_the_table(self, K, dtype, kind):
+        syms, book = _complete_book(41, K, 8192, dtype)
+        cold = gpu_encode(syms, book, magnitude=10)
+        assert kind not in _cached_kinds(book)
+        assert packed_pair_stats(syms, book) is None
+        assert kind not in _cached_kinds(book)
+        # once the table is cached the same input takes it, and the
+        # container bytes do not change
+        if kind == "pair":
+            packed_pair_table(book)
+        else:
+            _packed_pair_table_le(book)
+        assert packed_pair_stats(syms, book) is not None
+        warm = gpu_encode(syms, book, magnitude=10)
+        assert serialize_stream(cold.stream, book) == \
+            serialize_stream(warm.stream, book)
+        assert cold.costs == warm.costs
+
+    def test_registered_book_takes_its_cached_table(self):
+        from repro.app.compressor import compress_symbols_registered
+        from repro.codebooks.registry import CodebookRegistry
+
+        syms, book = _complete_book(43, 1024, 8192, np.uint16)
+        cold = gpu_encode(syms, book, magnitude=10)
+        CodebookRegistry().register(book)
+        assert "pair" in _cached_kinds(book)
+        # a burst of cold books (more than the cache holds per kind)
+        # caches their per-symbol tables without evicting the pair table
+        for seed in range(20):
+            other, fresh = _complete_book(100 + seed, 1024, 8192, np.uint16)
+            gpu_encode(other, fresh, magnitude=10)
+            assert "packed" in _cached_kinds(fresh)
+        assert "pair" in _cached_kinds(book)
+        stats = packed_pair_stats(syms, book)
+        assert stats is not None
+        assert stats[1].size == syms.size // 2
+        blob, _ = compress_symbols_registered(syms, book, magnitude=10)
+        assert serialize_stream(cold.stream, book) in blob
+
+    def test_input_at_least_table_size_builds_it(self):
+        syms, book = _complete_book(47, 40, 4096, np.uint16)
+        assert 40 * 40 <= syms.size
+        gpu_encode(syms, book, magnitude=10)
+        assert "pair" in _cached_kinds(book)

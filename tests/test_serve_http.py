@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.decoder.gap_native import native_available
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serve.http import run_server
 from repro.serve.service import CompressionService, ServiceConfig
@@ -26,10 +27,10 @@ def _fresh_registry():
     set_registry(prev)
 
 
-@pytest.fixture()
-def server():
+def _serve(**overrides):
     cfg = ServiceConfig(n_shards=2, max_batch=8, max_delay_s=0.003,
-                        queue_size=64, request_max_bytes=1 << 20)
+                        queue_size=64, request_max_bytes=1 << 20,
+                        **overrides)
     svc = CompressionService(cfg)
     svc.start()
     ready, stop, bound = threading.Event(), threading.Event(), []
@@ -48,6 +49,17 @@ def server():
         t.join(10.0)
         svc.close()
         assert not t.is_alive(), "server thread did not shut down cleanly"
+
+
+@pytest.fixture()
+def server():
+    yield from _serve()
+
+
+@pytest.fixture()
+def sampled_server():
+    """A server whose flight recorder keeps every request."""
+    yield from _serve(flight_sample_every=1)
 
 
 def _request(port, method, path, body=b"", headers=None):
@@ -141,3 +153,25 @@ def test_bad_dtype_is_400(server):
     status, _, _ = _request(server, "POST", "/compress", body=b"\x00" * 8,
                             headers={"X-Repro-Dtype": "float32"})
     assert status == 400
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="native gap kernel unavailable")
+def test_flight_record_names_the_gap_backend(sampled_server):
+    """A decompress that runs on the native gap kernel is labelled so in
+    the flight record ``/trace/recent`` serves."""
+    rng = np.random.default_rng(23)
+    data = rng.integers(0, 200, size=16384).astype(np.uint16)
+    status, _, blob = _request(sampled_server, "POST", "/compress",
+                               data.tobytes(), {"X-Repro-Dtype": "uint16"})
+    assert status == 200
+    status, _, body = _request(sampled_server, "POST", "/decompress", blob)
+    assert status == 200
+    assert np.array_equal(np.frombuffer(body, dtype=np.uint16), data)
+    status, _, body = _request(sampled_server, "GET", "/trace/recent")
+    assert status == 200
+    records = json.loads(body)["otherData"]["records"]
+    decomp = [r for r in records if r["op"] == "decompress"]
+    assert decomp
+    assert decomp[-1]["paths"]["decode_strategy"] == "gap"
+    assert decomp[-1]["paths"]["gap_backend"] == "native"
